@@ -28,7 +28,8 @@ CREATE TABLE IF NOT EXISTS reliability (
     digest TEXT PRIMARY KEY,
     method TEXT NOT NULL,
     value REAL NOT NULL,
-    created_at REAL NOT NULL
+    created_at REAL NOT NULL,
+    problem TEXT
 )
 """
 
@@ -57,8 +58,13 @@ class SQLiteBackend:
         # WAL lets concurrent reader/writer processes coexist; the
         # explicit busy timeout makes writers queue (up to the timeout)
         # instead of failing fast with "database is locked" when several
-        # workers share one cache file.
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # workers share one cache file. The WAL switch itself can still
+        # be refused while a peer opening the same fresh file makes it;
+        # the mode is persistent, so the peer's switch serves us too.
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.OperationalError:
+            pass
         self._conn.execute(f"PRAGMA busy_timeout={self.busy_timeout_ms}")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(_SCHEMA)
@@ -78,13 +84,21 @@ class SQLiteBackend:
         Older caches stored only ``digest -> value``; the ``problem``
         column (the canonical payload audited by :mod:`repro.verify`) is
         added in place. Entries written before the migration keep a NULL
-        payload and are simply not auditable.
+        payload and are simply not auditable. Fresh files are created
+        with the column, and a peer process migrating the same file
+        first is not an error.
         """
         columns = {
             row[1] for row in self._conn.execute("PRAGMA table_info(reliability)")
         }
         if "problem" not in columns:
-            self._conn.execute("ALTER TABLE reliability ADD COLUMN problem TEXT")
+            try:
+                self._conn.execute(
+                    "ALTER TABLE reliability ADD COLUMN problem TEXT"
+                )
+            except sqlite3.OperationalError as exc:
+                if "duplicate column" not in str(exc):
+                    raise
 
     @property
     def closed(self) -> bool:

@@ -11,6 +11,13 @@ entry point every sweep routes through:
   initializer, so exact reliability values computed by one worker are
   reused by every other worker (and by every later run).
 
+Pool workers and queue workers (:mod:`repro.engine.queue_exec`) share
+one runtime: :func:`worker_runtime` sets a worker process up, and each
+job runs through one wrapper that ships the job's spans and metrics
+delta to the worker's telemetry spool before its result goes back. The
+coordinator folds the spools with a :class:`repro.obs.SpoolCollector`
+before yielding each result, so worker telemetry has one route home.
+
 Failures are contained per job: a crashed or failed job yields a
 ``JobResult(ok=False, ...)`` instead of poisoning the batch. Transient
 failures (``OSError``, timeouts, a broken pool) are retried up to
@@ -23,12 +30,17 @@ running to completion in the background — its result is discarded.
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from multiprocessing.util import Finalize
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
 from ..reliability.exact import get_reliability_cache, reliability_cache
@@ -152,80 +164,137 @@ def execute_job(job: Job) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side wrapper
+# Worker side
 
 
-def _worker_init(cache_dir: Optional[str], cache_backend: str = "auto",
-                 cache_shards: Optional[int] = None) -> None:
-    """Pool initializer: shared cache handle + metrics observation.
-
-    The observer makes the worker's :mod:`repro.obs` counters tick
-    without installing a tracer (worker spans could not be streamed back
-    through a pickled result anyway); ``_worker_run`` ships the per-job
-    metrics delta home for the parent to merge.
-    """
-    import atexit
-
-    from ..reliability.exact import set_reliability_cache
-
-    cache = ReliabilityCache(
-        cache_dir, backend=cache_backend, shards=cache_shards
-    )
-    set_reliability_cache(cache)
-    # A pool worker exits without unwinding the batch's context managers;
-    # close() on the way out lands the sharded tier's write-back buffers.
-    atexit.register(cache.close)
-    obs.add_observer()
-
-
-def _worker_run(
-    job: Job, trace: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Execute ``job`` and wrap timing + cache/metrics deltas around it.
+def _worker_run(job: Job) -> Dict[str, Any]:
+    """Execute ``job`` and wrap its timing and cache traffic around it.
 
     The ``engine.job`` span materializes when a tracer is active in this
-    process (serial mode, queue workers running under the queue's trace
-    context) — or when the coordinator threads a serialized
-    :class:`repro.obs.TraceContext` through the pool envelope as
-    ``trace``: the worker then runs the job under a throwaway local
-    tracer adopting that context and ships the finished span records
-    back in the envelope (``"spans"``), parented to the coordinator's
-    batch span. Metrics tick in every mode (the batch and the pool
-    initializer both register observers) and the per-job delta travels
-    back with the result so ``jobs>1`` sweeps report true totals.
+    process: the batch's own in serial mode, or the per-job tracer that
+    :func:`_run_shipped` installs in a worker. Metrics tick in every
+    mode (the batch and the worker runtime both register observers).
     """
     cache = get_reliability_cache()
     before = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-    metrics_before = obs.snapshot()
     start = time.perf_counter()
-    span_records: Optional[List[Dict[str, Any]]] = None
-    if trace is not None and obs.get_tracer() is None:
-        ctx = obs.TraceContext.from_dict(trace)
-        obs.reset_span_stack()  # a forked worker may carry phantom spans
-        with obs.trace_context(ctx):
-            with obs.tracing() as tracer:
-                with obs.span("engine.job", job=job.job_id, kind=job.kind):
-                    value = execute_job(job)
-        span_records = [obs.span_record(s) for s in tracer.spans]
-    else:
-        with obs.span("engine.job", job=job.job_id, kind=job.kind):
-            value = execute_job(job)
+    with obs.span("engine.job", job=job.job_id, kind=job.kind):
+        value = execute_job(job)
     wall = time.perf_counter() - start
     if obs.enabled():
         obs.counter("engine.jobs.completed").inc()
         obs.histogram("engine.job.seconds").observe(wall)
     after = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-    wrapped = {
+    return {
         "value": value,
         "wall_time": wall,
         "worker_pid": os.getpid(),
         "cache_hits": after[0] - before[0],
         "cache_misses": after[1] - before[1],
-        "metrics": obs.snapshot_delta(metrics_before, obs.snapshot()),
     }
-    if span_records:
-        wrapped["spans"] = span_records
-    return wrapped
+
+
+@contextmanager
+def worker_runtime(
+    spool_dir: Union[str, Path],
+    cache_dir: Optional[str],
+    cache_backend: str = "auto",
+    cache_shards: Optional[int] = None,
+) -> Iterator["obs.TelemetrySpool"]:
+    """Set up one pool or queue worker process; yields its spool.
+
+    Installs the shared reliability cache, drops a tracer and open-span
+    stack inherited through fork (a worker traces each job under the
+    coordinator's context instead, see :func:`_run_shipped`), observes
+    metrics, and opens the worker's spool ``<spool_dir>/worker-<pid>.jsonl``,
+    into which B&B search events stream. On exit the cache lands its
+    buffered writes and the spool ships a final metrics delta.
+    """
+    from ..ilp.search_events import capture_search_events
+    from ..reliability.exact import set_reliability_cache
+
+    cache = ReliabilityCache(cache_dir, backend=cache_backend,
+                             shards=cache_shards)
+    previous = set_reliability_cache(cache)
+    obs.set_tracer(None)
+    obs.reset_span_stack()
+    obs.add_observer()
+    pid = os.getpid()
+    spool = obs.TelemetrySpool(Path(spool_dir) / f"worker-{pid}.jsonl")
+    spool.flush()  # open the file while the spool directory exists
+    try:
+        with capture_search_events(
+            lambda ev: spool.emit("bnb_event", worker_pid=pid, **ev)
+        ):
+            yield spool
+    finally:
+        set_reliability_cache(previous)
+        cache.close()
+        obs.remove_observer()
+        spool.close()
+
+
+def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
+                 trace_ctx: Optional["obs.TraceContext"]) -> Dict[str, Any]:
+    """Run ``job`` in a worker, then ship its telemetry to ``spool``.
+
+    Under a trace context the job runs under its own tracer, whose root
+    span parents to the coordinator's span. The spans and the job's
+    metrics delta are flushed before this returns or raises: the
+    coordinator folds the spool as each result arrives, so no result
+    outruns its telemetry.
+    """
+    tracer: Optional[obs.Tracer] = None
+    try:
+        if trace_ctx is None:
+            return _worker_run(job)
+        with obs.trace_context(trace_ctx), obs.tracing() as tracer:
+            return _worker_run(job)
+    finally:
+        for s in tracer.spans if tracer is not None else ():
+            spool.emit_span(s)
+        spool.ship_metrics(job=job.job_id)
+        spool.flush()
+
+
+#: A pool worker's ``(spool, trace context)``, set by :func:`_worker_init`.
+_POOL_WORKER: Tuple[Any, ...] = ()
+
+
+def _worker_init(spool_dir: str, trace_ctx: Optional["obs.TraceContext"],
+                 cache_dir: Optional[str], cache_backend: str = "auto",
+                 cache_shards: Optional[int] = None) -> None:
+    """Pool initializer: enter the worker runtime for the worker's life."""
+    global _POOL_WORKER
+    runtime = ExitStack()
+    spool = runtime.enter_context(
+        worker_runtime(spool_dir, cache_dir, cache_backend, cache_shards)
+    )
+    # atexit never runs in a fork-started worker; multiprocessing's exit
+    # hook does, so the cache flush and the final ship still land.
+    Finalize(None, runtime.close, exitpriority=0)
+    _POOL_WORKER = (spool, trace_ctx)
+
+
+def _pool_run(job: Job) -> Dict[str, Any]:
+    spool, trace_ctx = _POOL_WORKER
+    return _run_shipped(job, spool, trace_ctx)
+
+
+def worker_trace_context(batch_name: str) -> Optional["obs.TraceContext"]:
+    """The trace context a coordinator hands its workers, or ``None``.
+
+    Worker spans parent under the live span (the batch span when a
+    tracer is on); an active context (a service run's) keeps its trace
+    id and correlation fields. With neither there is no trace to join.
+    """
+    ctx = obs.current_trace_context()
+    cur = obs.current_span()
+    if cur is None:
+        return ctx
+    if ctx is not None:
+        return ctx.reparent(cur)
+    return obs.TraceContext.from_span(cur, batch=batch_name)
 
 
 def _ok_result(job: Job, wrapped: Dict[str, Any], attempts: int) -> JobResult:
@@ -238,40 +307,8 @@ def _ok_result(job: Job, wrapped: Dict[str, Any], attempts: int) -> JobResult:
         worker_pid=wrapped["worker_pid"],
         cache_hits=wrapped["cache_hits"],
         cache_misses=wrapped["cache_misses"],
-        metrics=wrapped.get("metrics"),
         meta=dict(job.meta),
     )
-
-
-def _absorb_worker_metrics(writer: TelemetryWriter, result: JobResult) -> None:
-    """Ship a pool worker's metrics delta over telemetry and merge it.
-
-    Only called in pool mode: a serial job already ticked the parent's
-    own registry, so merging its delta would double-count.
-    """
-    if not result.metrics:
-        return
-    writer.emit(
-        "metrics_snapshot",
-        job=result.job_id,
-        worker_pid=result.worker_pid,
-        metrics=result.metrics,
-    )
-    obs.merge_snapshot(result.metrics)
-
-
-def _absorb_worker_spans(
-    writer: TelemetryWriter, wrapped: Dict[str, Any]
-) -> None:
-    """Fold span records a pool worker shipped in its envelope.
-
-    Each record is journaled as a ``worker_span`` event and merged into
-    the active tracer, so stitched Chrome traces and ``--trace`` exports
-    carry the worker lanes without any shared filesystem.
-    """
-    for record in wrapped.get("spans") or ():
-        writer.emit("worker_span", **record)
-        obs.absorb_record(record)
 
 
 def _failed_result(
@@ -363,10 +400,10 @@ def _iter_serial(
         capture_search_events(
             lambda ev: writer.emit("bnb_event", **ev)
         )
-        if writer.path else _null_context()
+        if writer.path else nullcontext()
     )
     try:
-        ctx = reliability_cache(cache) if own_cache else _null_context()
+        ctx = reliability_cache(cache) if own_cache else nullcontext()
         with ctx, search_ctx:
             for job in batch.jobs:
                 writer.emit("job_start", job=job.job_id, kind=job.kind, mode="serial")
@@ -399,14 +436,6 @@ def _iter_serial(
             cache.close()
 
 
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc_info):
-        return False
-
-
 def _emit_job_end(writer: TelemetryWriter, result: JobResult) -> None:
     writer.emit(
         "job_end",
@@ -430,24 +459,23 @@ def _iter_pool(
     cache_backend: str = "auto",
     cache_shards: Optional[int] = None,
 ) -> Iterator[JobResult]:
+    # Workers spool their telemetry into a per-batch directory that the
+    # collector folds home. With no tracer and no trace context active,
+    # workers skip span collection.
+    spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
+    collector = obs.SpoolCollector(spool_dir, writer=writer)
+    initargs = (spool_dir, worker_trace_context(batch.name), cache_dir,
+                cache_backend, cache_shards)
+
     def make_pool() -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init,
-            initargs=(cache_dir, cache_backend, cache_shards),
+            max_workers=jobs, initializer=_worker_init, initargs=initargs,
         )
 
     pool = make_pool()
     restarts = 0
-    # Thread the trace context through the job envelopes whenever the
-    # batch itself is being traced (or a service run's context is
-    # active): workers then ship their span records home for stitching.
-    # With no tracer and no context, workers skip span collection.
-    ctx = obs.current_trace_context()
-    cur = obs.current_span()
-    if cur is not None:
-        ctx = (ctx.reparent(cur) if ctx is not None
-               else obs.TraceContext.from_span(cur, batch=batch.name))
-    trace_doc = ctx.to_dict() if ctx is not None else None
+    timed_out = False
+    drained = False
     pending: Dict[Any, tuple] = {}  # future -> (job, attempts, submitted_at)
     # Every job_id is in exactly one of these at any time: ``inflight``
     # (job_id -> its one live future) or ``finished`` (already yielded).
@@ -463,7 +491,7 @@ def _iter_pool(
         if job.job_id in finished or job.job_id in inflight:
             writer.emit("job_dedup", job=job.job_id, attempt=attempts)
             return
-        fut = pool.submit(_worker_run, job, trace_doc)
+        fut = pool.submit(_pool_run, job)
         pending[fut] = (job, attempts, time.monotonic())
         inflight[job.job_id] = fut
 
@@ -477,6 +505,8 @@ def _iter_pool(
         if result.job_id in finished:
             return None  # a duplicate execution already reported this job
         finished.add(result.job_id)
+        # The worker flushed the job's telemetry before returning it.
+        collector.poll()
         return result
 
     try:
@@ -499,11 +529,8 @@ def _iter_pool(
                 job, attempts, _submitted = drop(fut)
                 exc = fut.exception()
                 if exc is None:
-                    wrapped = fut.result()
-                    result = finish(_ok_result(job, wrapped, attempts))
+                    result = finish(_ok_result(job, fut.result(), attempts))
                     if result is not None:
-                        _absorb_worker_metrics(writer, result)
-                        _absorb_worker_spans(writer, wrapped)
                         yield result
                     continue
                 if isinstance(exc, BrokenProcessPool):
@@ -544,11 +571,8 @@ def _iter_pool(
                     if fut.done() and fut.exception() is None:
                         # The pool broke *around* a completed job: report
                         # its finished result instead of running it again.
-                        wrapped = fut.result()
-                        result = finish(_ok_result(job, wrapped, attempts))
+                        result = finish(_ok_result(job, fut.result(), attempts))
                         if result is not None:
-                            _absorb_worker_metrics(writer, result)
-                            _absorb_worker_spans(writer, wrapped)
                             yield result
                         continue
                     submit(job, attempts + 1)
@@ -562,6 +586,7 @@ def _iter_pool(
                         continue
                     fut.cancel()
                     drop(fut)
+                    timed_out = True
                     if attempts <= retries:
                         writer.emit(
                             "job_retry", job=job.job_id, attempt=attempts,
@@ -576,8 +601,15 @@ def _iter_pool(
                         ))
                         if result is not None:
                             yield result
+        drained = not timed_out
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # A drained pool's workers are idle and exit at once, so waiting
+        # lands their exit ship and cache flush before the final fold. A
+        # worker still busy with a timed-out job, or with a stopped
+        # batch's job, is not waited for.
+        pool.shutdown(wait=drained, cancel_futures=True)
+        collector.drain()
+        shutil.rmtree(spool_dir, ignore_errors=True)
 
 
 #: Executor modes accepted by :func:`iter_batch` / :func:`run_batch`.
@@ -612,8 +644,8 @@ def iter_batch(
         )
     writer = writer if writer is not None else TelemetryWriter(None)
     # Observe metrics for the batch's duration: serial jobs tick the
-    # parent registry directly; pool workers register their own observer
-    # in the initializer and ship deltas home.
+    # parent registry directly; workers observe in their own runtime and
+    # spool deltas home.
     obs.add_observer()
     try:
         if mode == "serial":

@@ -74,9 +74,6 @@ class JobResult:
     worker_pid: Optional[int] = None
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Per-job :mod:`repro.obs` metrics delta recorded by the worker
-    #: (snapshot shape; ``None`` on failed jobs and pre-PR-5 payloads).
-    metrics: Optional[Dict[str, Any]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def unwrap(self) -> Any:

@@ -20,9 +20,9 @@ Layout under ``queue_dir``::
                             (trace id + parent span uid); workers adopt it
                             so their spans join the coordinator's trace
     spools/worker-<pid>.jsonl   per-worker telemetry spool: span records,
-                            metric deltas, correlated logs, and B&B search
-                            events, heartbeat-flushed and folded back into
-                            the run by the coordinator's
+                            metric deltas, and B&B search events,
+                            heartbeat-flushed and folded back into the
+                            run by the coordinator's
                             :class:`repro.obs.SpoolCollector`
 
 Jobs are content-addressed by :func:`job_digest` (SHA-256 of the pickled
@@ -59,6 +59,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
+from .executor import (
+    TRANSIENT_EXCEPTIONS,
+    _ok_result,
+    _run_shipped,
+    worker_runtime,
+    worker_trace_context,
+)
 from .jobs import BatchSpec, Job, JobResult
 from .telemetry import TelemetryWriter
 
@@ -422,19 +429,15 @@ class FileWorkQueue:
 
 def _heartbeat_loop(queue: FileWorkQueue, lease: Lease, interval: float,
                     stop: threading.Event,
-                    spool: Optional["obs.TelemetrySpool"] = None) -> None:
+                    spool: "obs.TelemetrySpool") -> None:
     while not stop.wait(interval):
         queue.heartbeat(lease)
-        if spool is not None:
-            spool.flush()
+        spool.flush()
 
 
 def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
-                   heartbeat_interval: float,
-                   spool: Optional["obs.TelemetrySpool"] = None,
+                   heartbeat_interval: float, spool: "obs.TelemetrySpool",
                    trace_ctx: Optional["obs.TraceContext"] = None) -> None:
-    from .executor import TRANSIENT_EXCEPTIONS, _worker_run
-
     job = queue.load_job(lease.digest)
     if job is None:
         # The job spec vanished (queue pruned underneath us): the lease
@@ -448,30 +451,13 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
         daemon=True,
     )
     beat.start()
-    tracer: Optional[obs.Tracer] = None
-
-    def ship() -> None:
-        # Telemetry ships *before* the result is published: the
-        # coordinator stops collecting once every result is in, so the
-        # ordering guarantees no result ever outruns its spans/metrics.
-        if spool is None:
-            return
-        if tracer is not None:
-            for s in tracer.spans:
-                spool.emit_span(s)
-        spool.ship_metrics()
-        spool.flush()
-
+    # The job's telemetry ships before its result is published: the
+    # coordinator stops collecting once every result is in, so no
+    # result ever outruns its spans and metrics.
     try:
         try:
-            if trace_ctx is not None:
-                with obs.trace_context(trace_ctx):
-                    with obs.tracing() as tracer:
-                        wrapped = _worker_run(job)
-            else:
-                wrapped = _worker_run(job)
+            wrapped = _run_shipped(job, spool, trace_ctx)
         except TRANSIENT_EXCEPTIONS as exc:
-            ship()
             if lease.attempts <= retries:
                 if obs.enabled():
                     obs.counter("engine.queue.retries").inc()
@@ -484,7 +470,6 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
                     "error_type": type(exc).__name__,
                 })
         except Exception as exc:
-            ship()
             queue.write_result(lease.digest, {
                 "ok": False,
                 "attempts": lease.attempts,
@@ -492,7 +477,6 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
                 "error_type": type(exc).__name__,
             })
         else:
-            ship()
             queue.write_result(lease.digest, {
                 "ok": True,
                 "attempts": lease.attempts,
@@ -526,39 +510,27 @@ def run_worker(
     Idle workers also sweep expired leases, so a fleet of standalone
     workers recovers crashed peers' jobs without any coordinator.
 
-    Every worker spools its telemetry — lifetime metric deltas, span
-    records for jobs run under the queue's trace context, and B&B
-    search events — to ``spools/worker-<pid>.jsonl`` for the
-    coordinator's collector, and its obslog records carry the run id,
-    job digest, and lease attempt as correlation fields.
+    The worker runs in the same runtime as a pool worker
+    (:func:`repro.engine.executor.worker_runtime`): it spools its
+    telemetry — per-job and lifetime metric deltas, span records for
+    jobs run under the queue's trace context, and B&B search events —
+    to ``spools/worker-<pid>.jsonl`` for the coordinator's collector,
+    and its obslog records carry the run id, job digest, and lease
+    attempt as correlation fields.
     """
-    from ..ilp.search_events import capture_search_events
-    from ..reliability.exact import set_reliability_cache
-    from .cache import ReliabilityCache
-
     queue = FileWorkQueue(queue_dir)
     stop_path = Path(stop_file) if stop_file is not None else queue.path / _STOP_FILE
-    cache = ReliabilityCache(cache_dir, backend=cache_backend,
-                             shards=cache_shards)
-    previous = set_reliability_cache(cache)
-    obs.set_tracer(None)  # a forked worker must not share the parent's
-    obs.reset_span_stack()  # tracer or its open batch span
-    obs.add_observer()
     heartbeat_interval = min(max(lease_ttl / 4.0, 0.02), 2.0)
     executed = 0
     idle_since = time.monotonic()
-    spool = obs.TelemetrySpool(queue.spool_path())
     base_ctx = queue.load_trace_context()
     worker_fields: Dict[str, Any] = {"worker_pid": os.getpid()}
     if base_ctx is not None:
         worker_fields.update(base_ctx.fields)
 
-    def spool_search_event(event: Dict[str, Any]) -> None:
-        spool.emit("bnb_event", worker_pid=os.getpid(), **event)
-
-    try:
-        with obs.log_context(**worker_fields), \
-                capture_search_events(spool_search_event):
+    with worker_runtime(queue.spool_dir, cache_dir, cache_backend,
+                        cache_shards) as spool:
+        with obs.log_context(**worker_fields):
             obs.log("worker.started", queue=str(queue.path))
             while True:
                 if stop_path.exists():
@@ -593,11 +565,6 @@ def run_worker(
                                    spool=spool, trace_ctx=lease_ctx)
                     obs.log("worker.lease_done", executed=executed)
             obs.log("worker.stopped", executed=executed)
-    finally:
-        spool.close()
-        obs.remove_observer()
-        set_reliability_cache(previous)
-        cache.close()
     return executed
 
 
@@ -607,21 +574,13 @@ def run_worker(
 
 def _record_result(job: Job, record: Dict[str, Any], primary: bool,
                    writer: TelemetryWriter) -> JobResult:
-    from .executor import _ok_result
-
     if record.get("ok"):
         result = _ok_result(job, record["wrapped"], int(record["attempts"]))
         if not primary:
             # The fan-out copies of a deduplicated execution must not
-            # double-count the one worker's metrics and cache traffic.
-            result.metrics = None
+            # double-count the one worker's cache traffic.
             result.cache_hits = 0
             result.cache_misses = 0
-        # Unlike the pool path, the result envelope is *not* merged into
-        # the registry here: queue workers ship their whole lifetime —
-        # including claims, heartbeats, and retries that happen outside
-        # any job — through their spool, and the collector is the single
-        # metrics channel (merging both would double-count).
         return result
     return JobResult(
         job_id=job.job_id,
@@ -677,16 +636,10 @@ def iter_queue(
     except OSError:
         pass
 
-    ctx = obs.current_trace_context()
-    cur = obs.current_span()
-    if cur is not None:
-        # Parent worker spans under the live batch span; keep the run's
-        # trace id (and correlation fields) when a context is active.
-        ctx = (ctx.reparent(cur) if ctx is not None
-               else obs.TraceContext.from_span(cur, batch=batch.name))
-    elif ctx is None:
-        ctx = obs.TraceContext.mint(batch=batch.name)
-    ctx = queue.write_trace_context(ctx)
+    queue.write_trace_context(
+        worker_trace_context(batch.name)
+        or obs.TraceContext.mint(batch=batch.name)
+    )
     collector = obs.SpoolCollector(queue.spool_dir, writer=writer)
     obs.add_health_source("queue", lambda: queue.health(collector=collector))
 

@@ -26,6 +26,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from ..obs.obslog import read_jsonl
+
 __all__ = [
     "TelemetryWriter",
     "completed_jobs",
@@ -85,17 +87,7 @@ class TelemetryWriter:
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse a telemetry JSONL file (skipping any truncated trailing line)."""
-    events: List[Dict[str, Any]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return events
+    return read_jsonl(path)[0]
 
 
 def completed_jobs(

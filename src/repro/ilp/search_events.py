@@ -7,7 +7,7 @@ each with bound/depth attributes — to whoever installed a sink:
 
 * the serial batch executor writes ``bnb_event`` records into the batch
   telemetry journal,
-* queue workers spool them home to the coordinator,
+* pool and queue workers spool them home to the coordinator,
 * the service runner journals them per run, which is what the
   ``/api/runs/<run-id>/events`` tail and ``repro tree`` render.
 

@@ -23,9 +23,10 @@ exposition), ``/runs`` (in-flight synthesis/batch snapshots from the
 :class:`RunRegistry`), and ``/healthz`` while a sweep runs; structured
 JSON logs (:mod:`repro.obs.obslog`) carry run/job/span correlation ids;
 a wall-clock sampling profiler (:mod:`repro.obs.sampling`) exports
-flamegraph-ready collapsed stacks; and pool workers ship their metrics
-home for merging (:mod:`repro.obs.aggregate`), so multi-process sweeps
-report true totals.
+flamegraph-ready collapsed stacks; and pool and queue workers spool
+their spans and metric deltas home (:mod:`repro.obs.spool`), where the
+coordinator merges them (:mod:`repro.obs.aggregate`), so multi-process
+sweeps report true totals.
 
 Typical use (the CLI's ``profile`` subcommand does exactly this)::
 

@@ -1,19 +1,20 @@
 """Cross-process metrics aggregation for the exploration engine.
 
-Pool workers accumulate into their *own* process-global
-:class:`repro.obs.MetricsRegistry`; before this module those numbers
-simply vanished when the worker exited, so a ``--jobs 8`` sweep reported
+Pool and queue workers accumulate into their *own* process-global
+:class:`repro.obs.MetricsRegistry`; without this module those numbers
+would vanish when the worker exits, so a ``--jobs 8`` sweep would report
 an empty registry while a serial run of the same batch reported
 thousands of engine calls. The fix is a snapshot/delta/merge pipeline:
 
-1. the worker snapshots its registry before and after each job and ships
-   the delta home inside the (already pickled) job result
-   (:func:`snapshot_delta`);
-2. the parent emits the delta as a ``metrics_snapshot`` event on the
-   batch's JSONL telemetry stream — the same channel the job life-cycle
-   events use — and folds it into its own registry
-   (:func:`merge_snapshot`): counters sum, gauges take the last write,
-   histograms merge count/sum/min/max and bucket counts.
+1. after each job the worker spools the registry delta since its
+   previous ship (:func:`snapshot_delta`, called by
+   :meth:`repro.obs.TelemetrySpool.ship_metrics`);
+2. the coordinator's :class:`repro.obs.SpoolCollector` re-emits the
+   delta as a ``metrics_snapshot`` event on the batch's JSONL telemetry
+   stream — the same channel the job life-cycle events use — and folds
+   it into its own registry (:func:`merge_snapshot`): counters sum,
+   gauges take the last write, histograms merge count/sum/min/max and
+   bucket counts.
 
 Post-hoc, :func:`merge_telemetry` replays the ``metrics_snapshot``
 events of a telemetry file into a fresh registry, so worker totals can
@@ -32,6 +33,7 @@ from typing import Any, Dict, Iterable, Optional, Union
 
 from .metrics import MetricsRegistry
 from .metrics import registry as _global_registry
+from .obslog import read_jsonl
 
 __all__ = [
     "snapshot_delta",
@@ -132,9 +134,7 @@ def iter_metrics_snapshots(
 ) -> Iterable[Snapshot]:
     """Yield the ``metrics_snapshot`` payloads of a telemetry stream."""
     if isinstance(source, (str, Path)):
-        from ..engine.telemetry import read_events
-
-        source = read_events(source)
+        source = read_jsonl(source)[0]
     for event in source:
         if event.get("event") == "metrics_snapshot":
             metrics = event.get("metrics")

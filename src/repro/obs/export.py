@@ -9,7 +9,7 @@ Offline formats for a finished trace:
   ``args``, and thread ids remapped to small integers.
 * :func:`stitch_chrome_trace` — the *distributed* variant: local spans
   plus remote :func:`repro.obs.tracer.span_record` dicts collected from
-  pool envelopes and queue spools, aligned on the wall clock so one
+  worker spools, aligned on the wall clock so one
   document shows the coordinator lane and every worker lane, with span
   uids / parent uids / trace ids under ``args``.
 * :func:`export_spans_jsonl` — ``span_start``/``span_end`` event pairs
@@ -119,7 +119,7 @@ def stitch_chrome_trace(
     """One Chrome trace spanning the coordinator and all its workers.
 
     ``records`` are remote :func:`repro.obs.tracer.span_record` dicts
-    (queue spools, pool envelopes); ``spans`` are local finished
+    (worker spools); ``spans`` are local finished
     :class:`Span` objects, serialized here under the current pid. Lanes
     are named per pid — ``coordinator`` for this process, ``worker-N``
     for the rest — and ``otherData.trace_id`` is set when every event

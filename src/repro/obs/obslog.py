@@ -30,7 +30,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, TextIO, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple, Union
 
 from . import tracer as _tracer
 
@@ -42,6 +42,7 @@ __all__ = [
     "log",
     "log_context",
     "current_log_context",
+    "read_jsonl",
     "read_log",
 ]
 
@@ -224,16 +225,32 @@ def current_log_context() -> Dict[str, Any]:
     return dict(_FIELDS.get())
 
 
-def read_log(path: Union[str, Path]) -> list:
-    """Parse a JSONL log file (skipping any truncated trailing line)."""
+def read_jsonl(
+    path: Union[str, Path], offset: int = 0
+) -> Tuple[List[Dict[str, Any]], int]:
+    """Parse the complete lines of a JSONL file from byte ``offset``.
+
+    Returns the JSON objects found (blank and unparsable lines are
+    skipped) and the offset just past the last complete line: a writer
+    may be mid-append, so a trailing partial line is left for the next
+    read to pick up. Every JSONL reader and tailer in the package goes
+    through here. Raises ``OSError`` when the file cannot be read.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        chunk = fh.read()
+    cut = chunk.rfind(b"\n") + 1
     records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in chunk[:cut].splitlines():
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
+            record = json.loads(line)
+        except ValueError:  # also UnicodeDecodeError
             continue
-    return records
+        if isinstance(record, dict):
+            records.append(record)
+    return records, offset + cut
+
+
+def read_log(path: Union[str, Path]) -> List[Dict[str, Any]]:
+    """Parse a JSONL log file (skipping any truncated trailing line)."""
+    return read_jsonl(path)[0]

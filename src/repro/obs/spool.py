@@ -1,29 +1,30 @@
 """Per-worker telemetry spools and the coordinator-side collector.
 
-Queue workers run in their own processes (often started by an operator,
-not the coordinator), so nothing ships their spans, metric deltas, or
-log records home by itself. Each worker appends those events to one
-JSONL *spool file* next to its leases —
-``<queue-dir>/spools/worker-<pid>.jsonl`` — buffered in memory and
-flushed on every heartbeat and before each result is published, so the
-coordinator never sees a result whose telemetry is still in flight.
+Worker processes — pool workers and queue workers alike (see
+:func:`repro.engine.executor.worker_runtime`) — cannot hand their spans,
+metric deltas, or B&B search events to the coordinator's tracer and
+registry directly. Each worker appends them to one JSONL *spool file*,
+``<spool-dir>/worker-<pid>.jsonl`` (a queue's ``spools/`` directory, or
+a pool batch's temporary one), buffered in memory and flushed after
+every job before its result is returned or published (and, in queue
+mode, on every lease heartbeat), so the coordinator never sees a result
+whose telemetry is still in flight.
 
 The coordinator side is :class:`SpoolCollector`: it tail-reads every
 spool incrementally (tracking per-file byte offsets, consuming only
 complete lines), folds metric deltas into the process-global registry
 and a per-worker accumulator, forwards span records to the active
 tracer for stitching, and re-emits everything into the run's telemetry
-journal. ``iter_queue`` polls it during the drain loop; the final
-:meth:`SpoolCollector.drain` sweep runs after the workers stop.
+journal. Both coordinators poll it before yielding each result and
+:meth:`SpoolCollector.drain` it once more after their workers stop.
 
 Spool event kinds:
 
 * ``worker_span`` — one :func:`repro.obs.tracer.span_record`;
 * ``metrics_snapshot`` — a registry *delta* since the worker's previous
-  ship (counters/histograms subtract, gauges carry last writes), the
-  same event shape pool workers emit, so
-  :func:`repro.obs.merge_telemetry` handles both transports;
-* ``worker_log`` — a structured obslog record with correlation fields;
+  ship (counters/histograms subtract, gauges carry last writes), tagged
+  with ``worker_pid`` and, when shipped after a job, that job's ``job``
+  id, so :func:`repro.obs.merge_telemetry` can replay worker totals;
 * ``bnb_event`` — a B&B search-tree event (:mod:`repro.ilp`).
 
 Duplicate-execution caveat: if a lease expires and the job runs again
@@ -42,6 +43,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from .aggregate import Snapshot, merge_snapshot, snapshot_delta
 from .metrics import MetricsRegistry, snapshot
+from .obslog import read_jsonl
 from .tracer import Span, absorb_record, span_record
 
 __all__ = [
@@ -59,10 +61,12 @@ class TelemetrySpool:
     """Buffered JSONL writer for one worker's telemetry events.
 
     Events accumulate in memory and hit disk on :meth:`flush` — called
-    by the lease heartbeat and before every result publish. Writes are
-    whole-line appends through a single file handle, so the collector
-    on the other side only ever sees complete records (it discards a
-    trailing partial line until the next poll).
+    after every job and by the lease heartbeat. Writes are whole-line
+    appends through a single file handle, so the collector on the other
+    side only ever sees complete records (it discards a trailing partial
+    line until the next poll). The first flush opens the file, creating
+    its directory; once open, a flush never recreates a directory the
+    coordinator has since removed.
 
     Like :class:`repro.engine.TelemetryWriter`, a spool degrades to a
     no-op if its directory cannot be written — telemetry must never
@@ -86,29 +90,32 @@ class TelemetrySpool:
     def emit_span(self, span: Span) -> None:
         self.emit("worker_span", **span_record(span))
 
-    def emit_log(self, record: Dict[str, Any]) -> None:
-        self.emit("worker_log", record=record)
+    def ship_metrics(self, **fields: Any) -> bool:
+        """Spool the registry delta since the last ship; True if any.
 
-    def ship_metrics(self) -> bool:
-        """Spool the registry delta since the last ship; True if any."""
+        ``fields`` (a finished job's ``job`` id) ride along on the
+        ``metrics_snapshot`` event.
+        """
         now = snapshot()
         delta = snapshot_delta(self._shipped, now)
         self._shipped = now
         if not delta:
             return False
-        self.emit("metrics_snapshot", worker_pid=os.getpid(), metrics=delta)
+        self.emit("metrics_snapshot", worker_pid=os.getpid(), metrics=delta,
+                  **fields)
         return True
 
     def flush(self) -> None:
-        if not self._buffer or self._disabled:
+        if self._disabled:
             return
         lines, self._buffer = self._buffer, []
         try:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write("".join(line + "\n" for line in lines))
-            self._fh.flush()
+            if lines:
+                self._fh.write("".join(line + "\n" for line in lines))
+                self._fh.flush()
         except OSError:
             self._disabled = True
             self._fh = None
@@ -183,32 +190,14 @@ class SpoolCollector:
         }
 
     def _consume(self, path: Path) -> int:
-        offset = self._offsets.get(path, 0)
         try:
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                chunk = fh.read()
+            events, end = read_jsonl(path, self._offsets.get(path, 0))
         except OSError:
             return 0
-        if not chunk:
-            return 0
-        # Only complete lines: a worker may be mid-flush.
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return 0
-        self._offsets[path] = offset + cut + 1
-        folded = 0
-        for line in chunk[: cut + 1].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
+        self._offsets[path] = end
+        for event in events:
             self._fold(event)
-            folded += 1
-        return folded
+        return len(events)
 
     def _fold(self, event: Dict[str, Any]) -> None:
         kind = event.get("event")

@@ -169,8 +169,8 @@ class Tracer:
 
     def __init__(self, writer=None) -> None:
         self.spans: List[Span] = []
-        #: Span *records* absorbed from other processes (pool envelopes,
-        #: queue spools) — already-serialized dicts in the
+        #: Span *records* absorbed from other processes (worker
+        #: spools) — already-serialized dicts in the
         #: :func:`span_record` format, merged in by collectors so one
         #: tracer holds the whole distributed trace for stitching.
         self.records: List[Dict[str, Any]] = []
@@ -382,12 +382,12 @@ def set_attr(key: str, value: Any) -> None:
 def span_record(s: Span, pid: Optional[int] = None) -> Dict[str, Any]:
     """Serialize a finished span into the cross-process wire format.
 
-    The record is what queue workers spool home and pool workers ship in
-    their result envelope: epoch timestamps (``ts`` + ``dur`` seconds, so
-    spans from different processes align on the wall clock), the span's
-    cross-process ``uid``, and the ``parent`` uid — the local parent when
-    the span was nested, else the remote coordinator span adopted from
-    the active :class:`repro.obs.TraceContext`.
+    The record is what pool and queue workers spool home: epoch
+    timestamps (``ts`` + ``dur`` seconds, so spans from different
+    processes align on the wall clock), the span's cross-process
+    ``uid``, and the ``parent`` uid — the local parent when the span was
+    nested, else the remote coordinator span adopted from the active
+    :class:`repro.obs.TraceContext`.
     """
     if pid is None:
         pid = os.getpid()

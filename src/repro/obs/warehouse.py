@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .obslog import log as _log
+from .obslog import read_jsonl
 
 __all__ = [
     "DEFAULT_WAREHOUSE_PATH",
@@ -200,24 +201,11 @@ class TelemetryWarehouse:
             if size < offset:
                 offset = 0  # rotated or truncated underneath us
             counts: Dict[str, int] = {}
-            with source.open("rb") as fh:
-                fh.seek(offset)
-                data = fh.read()
-            end = data.rfind(b"\n")
-            if end < 0:
+            records, end = read_jsonl(source, offset)
+            if end == offset:
                 return counts
-            consumed = end + 1
             with self._conn:
-                for raw in data[:consumed].splitlines():
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    try:
-                        record = json.loads(raw.decode("utf-8"))
-                    except (json.JSONDecodeError, UnicodeDecodeError):
-                        continue
-                    if not isinstance(record, dict):
-                        continue
+                for record in records:
                     hit = self._ingest_record(record, kind, source.name)
                     if hit is not None:
                         table, n = hit if isinstance(hit, tuple) else (hit, 1)
@@ -228,7 +216,7 @@ class TelemetryWarehouse:
                     " ON CONFLICT(path) DO UPDATE SET"
                     " offset = excluded.offset,"
                     " ingested_at = excluded.ingested_at",
-                    (key, kind, offset + consumed, time.time()),
+                    (key, kind, end, time.time()),
                 )
             return counts
 
@@ -418,11 +406,6 @@ class TelemetryWarehouse:
                  if payload else None),
             )
             return "bnb_events"
-        if event == "worker_log":
-            inner = record.get("record")
-            if isinstance(inner, dict):
-                return self._ingest_log(inner, f"worker:{batch}")
-            return None
         # span_start, job_dedup, pool_restart, ... carry no warehouse row.
         return None
 

@@ -218,7 +218,9 @@ def render_search_tree(events: Iterable[dict]) -> str:
 
     Accepts the ``bnb_event`` records of a telemetry stream (or raw
     :class:`repro.ilp.SearchEventEmitter` events) and rolls them up by
-    ``solve`` id: nodes opened/branched, prunes split by reason, the
+    ``solve`` id (prefixed ``<worker_pid>/`` for events a pool or queue
+    worker spooled, since each worker numbers its solves from the same
+    start): nodes opened/branched, prunes split by reason, the
     incumbent trail, and the closing summary's true totals — ``sampled``
     counts node-level events the emitter's rate limiter suppressed, so
     the rendered counts are of *streamed* events while ``nodes`` is the
@@ -228,6 +230,8 @@ def render_search_tree(events: Iterable[dict]) -> str:
     solves: dict = {}
     for e in events:
         solve = e.get("solve", "?")
+        if e.get("worker_pid") is not None:
+            solve = f"{e['worker_pid']}/{solve}"
         agg = solves.setdefault(solve, {
             "open": 0, "branch": 0, "prunes": {}, "depth": 0,
             "incumbents": [], "summary": {},

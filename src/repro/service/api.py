@@ -38,6 +38,7 @@ import time
 import urllib.parse
 from typing import Any, Dict, Optional, Tuple
 
+from ..obs.obslog import read_jsonl
 from ..obs.server import ObsServer, _ObsHandler
 from .queue import JobQueue
 from .specs import SpecError
@@ -258,25 +259,11 @@ class _ServiceHandler(_ObsHandler):
         Only complete lines are consumed — the runner may be mid-append —
         so a partial trailing line is retried on the next poll.
         """
-        if not telemetry.is_file():
-            return offset
         try:
-            with open(telemetry, "rb") as fh:
-                fh.seek(offset)
-                chunk = fh.read()
-        except OSError:
+            docs, end = read_jsonl(telemetry, offset)
+        except OSError:  # not journaled yet
             return offset
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return offset
-        for line in chunk[: cut + 1].splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue
+        for doc in docs:
             name = str(doc.get("event") or "event")
             self.wfile.write(
                 f"event: {name}\n".encode("utf-8")
@@ -285,7 +272,7 @@ class _ServiceHandler(_ObsHandler):
                 + b"\n\n"
             )
         self.wfile.flush()
-        return offset + cut + 1
+        return end
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]

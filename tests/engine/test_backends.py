@@ -5,6 +5,7 @@ backend must hand back the *bit-identical* float — a sweep's results may
 never depend on which cache configuration executed it.
 """
 
+import multiprocessing
 import threading
 
 import pytest
@@ -61,6 +62,46 @@ class TestProtocol:
         with pytest.raises(ValueError, match="unknown cache backend"):
             make_backend("redis", str(tmp_path))
         assert "sqlite" in BACKEND_NAMES and "sharded" in BACKEND_NAMES
+
+
+def _open_fresh_file(path, barrier, outcomes):
+    barrier.wait()
+    try:
+        SQLiteBackend(path).close()
+    except Exception as exc:  # noqa: BLE001 - reported to the test
+        outcomes.put(f"{type(exc).__name__}: {exc}")
+    else:
+        outcomes.put(None)
+
+
+class TestConcurrentOpen:
+    def test_processes_opening_one_fresh_file_all_succeed(self, tmp_path):
+        """Regression: processes opening one fresh cache file together
+        tripped over each other's schema migration (``duplicate column
+        name: problem``) or WAL switch (``database is locked``), killing
+        the pool or queue worker that lost the race."""
+        ctx = multiprocessing.get_context()
+        outcomes = ctx.Queue()
+        errors = []
+        for trial in range(20):
+            path = tmp_path / f"fresh-{trial}.sqlite"
+            barrier = ctx.Barrier(4)
+            procs = [
+                ctx.Process(target=_open_fresh_file,
+                            args=(path, barrier, outcomes))
+                for _ in range(4)
+            ]
+            for proc in procs:
+                proc.start()
+            errors += [outcomes.get(timeout=60) for _ in procs]
+            for proc in procs:
+                proc.join(timeout=60)
+            assert [proc.exitcode for proc in procs] == [0] * len(procs)
+        assert [e for e in errors if e] == []
+        backend = SQLiteBackend(tmp_path / "fresh-0.sqlite")
+        backend.put(_digest(1), "bdd", 0.5, payload={"sink": "x"})
+        assert backend.get(_digest(1)) == 0.5
+        backend.close()
 
 
 class TestMemoryLRU:

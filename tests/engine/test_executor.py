@@ -253,12 +253,6 @@ class TestWorkerMetricsAggregation:
         assert serial["engine.jobs.completed"] == 4
         assert pooled == serial
 
-    def test_job_results_carry_metrics_deltas(self):
-        outcome, _ = self.run_with_metrics(jobs=2)
-        for res in outcome.results:
-            assert res.metrics, "pool results must ship a metrics delta"
-            assert res.metrics["engine.jobs.completed"]["value"] == 1
-
     def test_metrics_snapshots_land_in_telemetry(self, tmp_path):
         from repro import obs
         from repro.engine import read_events
@@ -297,6 +291,31 @@ class TestWorkerMetricsAggregation:
         assert record["done"] == len(outcome.results)
         assert record["failed"] == 0
         obs.reset_run_registry()
+
+
+class TestPoolWorkerExit:
+    def test_pool_workers_land_sharded_write_back_buffers(self, tmp_path):
+        """Regression: pool workers closed their cache from ``atexit``,
+        which a fork-started worker never runs, so the sharded tier's
+        buffered writes died with the workers and a serial re-run of
+        the batch on the same directory got 0 of 40 hits."""
+        from repro.verify.corpus import parallel_case, series_case
+
+        cases = [series_case(p=0.01 + 1e-3 * i, n=2 + i % 4)
+                 for i in range(20)]
+        cases += [parallel_case(p=0.02 + 1e-3 * i, k=2 + i % 3)
+                  for i in range(20)]
+        batch = BatchSpec("sharded-pool", [
+            Job(job_id=f"s{i}", kind="reliability",
+                payload={"problem": c.problem, "method": "bdd"})
+            for i, c in enumerate(cases)
+        ])
+        cache = dict(cache_dir=str(tmp_path / "cache"),
+                     cache_backend="sharded", cache_shards=16)
+        pooled = run_batch(batch, jobs=2, **cache)
+        assert pooled.num_failed == 0
+        serial = run_batch(batch, jobs=1, **cache)
+        assert serial.cache_hits == len(batch.jobs)
 
 
 # Module-level runners so they pickle / survive the fork into pool workers.
@@ -430,7 +449,6 @@ def _wrapped_ok(value):
         "worker_pid": 4242,
         "cache_hits": 0,
         "cache_misses": 0,
-        "metrics": None,
     }
 
 

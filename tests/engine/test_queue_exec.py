@@ -232,11 +232,8 @@ class TestIterQueue:
         queue = FileWorkQueue(tmp_path)
         assert queue.counts()["results"] == 2
         assert queue.counts()["jobs"] == 2
-        # ...and only the primary copy carries its metrics and cache
-        # traffic, so sweep totals aren't double-counted.
-        copies = [by_id["first"], by_id["second"]]
-        with_metrics = [r for r in copies if r.metrics]
-        assert len(with_metrics) <= 1
+        # ...and only the primary copy carries its cache traffic, so
+        # sweep totals aren't double-counted.
         secondary = by_id["second"]
         assert secondary.cache_hits == 0 and secondary.cache_misses == 0
 
@@ -296,14 +293,17 @@ class TestQueueObservability:
         assert transport["engine.queue.jobs.enqueued"] == 4
         assert transport["engine.queue.results"] == 4
 
-    def test_two_worker_batch_yields_one_connected_trace(self, tmp_path):
+    @pytest.mark.parametrize("executor", ["pool", "queue"])
+    def test_two_worker_batch_yields_one_connected_trace(self, tmp_path,
+                                                         executor):
         """Every worker span must parent back (transitively) to the
-        coordinator's batch span under a single trace id — no orphans."""
+        coordinator's batch span under a single trace id — no orphans.
+        Pool workers take the same spool route home as queue workers."""
         from repro import obs
 
         batch = BatchSpec("trace", [_noop_job(i) for i in range(6)])
         with obs.tracing() as tracer:
-            outcome = run_batch(batch, jobs=2, executor="queue",
+            outcome = run_batch(batch, jobs=2, executor=executor,
                                 queue_dir=tmp_path)
         assert outcome.num_failed == 0
 

@@ -83,8 +83,9 @@ class TestRunObservabilityArtifacts:
         )
         assert total == 2
 
-    def test_run_journal_carries_bnb_search_events(self, tmp_path):
-        store, record = run_spec(tmp_path, BNB_SWEEP_SPEC)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_journal_carries_bnb_search_events(self, tmp_path, jobs):
+        store, record = run_spec(tmp_path, BNB_SWEEP_SPEC, jobs=jobs)
         assert record.state == DONE
         events = [e for e in read_events(record.path / TELEMETRY_NAME)
                   if e["event"] == "bnb_event"]

@@ -28,6 +28,17 @@ class TestReport:
         text = section("Title")
         assert "Title" in text and "=" in text
 
+    def test_search_tree_keeps_workers_solves_apart(self):
+        from repro.report import render_search_tree
+
+        # Forked workers number their solves from the same start.
+        events = [
+            {"solve": 1, "kind": "open", "node": 0, "worker_pid": pid}
+            for pid in (101, 202)
+        ]
+        rows = render_search_tree(events).splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["101/1", "202/1"]
+
 
 class TestCliParser:
     def test_requires_command(self):
