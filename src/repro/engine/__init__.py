@@ -10,10 +10,11 @@ turns those piles into first-class batches:
   scaling sweeps, contingency sets, per-sink reliability maps and budget
   bisections;
 * :mod:`repro.engine.executor` — :func:`run_batch` /
-  :func:`iter_batch`, a ``concurrent.futures`` process-pool executor
-  with per-job retry and timeout that degrades to a serial loop at
-  ``jobs=1``;
-* :mod:`repro.engine.queue_exec` — the ``executor="queue"`` mode: a
+  :func:`iter_batch`, one dispatch loop (submit, collect, retry, stop)
+  over three transports: in-process (``jobs=1``), a
+  ``concurrent.futures`` process pool with per-job timeouts, and the
+  file queue; every mode yields the same results and journal;
+* :mod:`repro.engine.queue_exec` — the ``executor="queue"`` transport: a
   file-backed work queue with atomic-rename leases, heartbeats and
   digest-level job dedup, drained by local or standalone
   (``repro worker``) worker processes;

@@ -1,30 +1,39 @@
-"""Batch execution: serial loop or process pool, streaming results back.
+"""Batch execution: one dispatch loop over three transports.
 
 ``run_batch(batch, jobs=4, cache_dir=..., telemetry=...)`` is the single
-entry point every sweep routes through:
+entry point every sweep routes through. One generator, :func:`_dispatch`,
+journals each job's start, submits it, resubmits a transient failure
+while the retry budget lasts, builds every :class:`JobResult` and
+journals its end. What differs between executor modes lives in a
+transport with ``submit``, ``completions`` and ``close``:
 
-* ``jobs=1`` (the default) degrades gracefully to an in-process loop —
-  no pool, no pickling, identical results;
-* ``jobs>1`` fans the batch out over a ``concurrent.futures``
-  process pool. Each worker installs its own handle onto the shared
-  persistent :class:`repro.engine.ReliabilityCache` in the pool
-  initializer, so exact reliability values computed by one worker are
-  reused by every other worker (and by every later run).
+* ``serial`` (the default for ``jobs<=1``) runs each job in this
+  process — no pool, no pickling, identical results — and runs a retry
+  next, so results come back in submission order;
+* ``pool`` (the default for ``jobs>1``) fans the batch out over a
+  ``concurrent.futures`` process pool, enforces per-job timeouts and
+  rebuilds a broken pool;
+* ``queue`` drains the batch through the file-backed work queue of
+  :mod:`repro.engine.queue_exec`.
 
-Pool workers and queue workers (:mod:`repro.engine.queue_exec`) share
-one runtime: :func:`worker_runtime` sets a worker process up, and each
-job runs through one wrapper that ships the job's spans and metrics
-delta to the worker's telemetry spool before its result goes back. The
-coordinator folds the spools with a :class:`repro.obs.SpoolCollector`
-before yielding each result, so worker telemetry has one route home.
+Every mode runs a job through :func:`_worker_run`, which returns one
+envelope — the value, or the error's message, type and whether it is
+transient — with the job's wall time, pid and cache traffic, so a result
+looks the same whichever transport carried it.
 
-Failures are contained per job: a crashed or failed job yields a
-``JobResult(ok=False, ...)`` instead of poisoning the batch. Transient
-failures (``OSError``, timeouts, a broken pool) are retried up to
-``retries`` times; a broken pool is rebuilt and its in-flight jobs
-resubmitted. Per-job ``timeout`` is enforced in pool mode (a serial loop
-cannot preempt a running engine); note a timed-out worker process keeps
-running to completion in the background — its result is discarded.
+Pool workers and queue workers share one runtime: :func:`worker_runtime`
+sets a worker process up, and each job runs through one wrapper that
+ships the job's spans and metrics delta to the worker's telemetry spool
+before its envelope goes back. The coordinator folds the spools with a
+:class:`repro.obs.SpoolCollector` before yielding each result, so worker
+telemetry has one route home.
+
+Failures are contained per job: a failed job yields
+``JobResult(ok=False, ...)`` instead of poisoning the batch, and a
+transient one (``OSError``, a timeout, a broken pool) first gets up to
+``retries`` more attempts. ``timeout`` applies in pool mode only (a
+serial loop cannot preempt a running engine); a timed-out job's worker
+runs it to completion in the background and its result is discarded.
 """
 
 from __future__ import annotations
@@ -34,10 +43,12 @@ import shutil
 import tempfile
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing.util import Finalize
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -60,8 +71,13 @@ __all__ = [
 #: Exception types worth retrying: environmental, not semantic.
 TRANSIENT_EXCEPTIONS = (OSError, TimeoutError, BrokenProcessPool)
 
-#: How many times a pool may be rebuilt before the batch gives up.
-MAX_POOL_RESTARTS = 3
+#: How many crashed workers (a broken pool, a dead queue worker) a batch
+#: replaces before it fails the jobs still outstanding.
+MAX_WORKER_RESTARTS = 3
+
+#: ``(job, attempts, envelope)``: one finished attempt, as a transport
+#: hands it to :func:`_dispatch`.
+_Completion = Tuple[Job, int, Dict[str, Any]]
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +183,23 @@ def execute_job(job: Job) -> Any:
 # Worker side
 
 
+def _failure(exc: BaseException, **fields: Any) -> Dict[str, Any]:
+    """The envelope of a failed attempt, classified where it was caught."""
+    return {
+        "error": str(exc) or type(exc).__name__,
+        "error_type": type(exc).__name__,
+        "transient": isinstance(exc, TRANSIENT_EXCEPTIONS),
+        **fields,
+    }
+
+
 def _worker_run(job: Job) -> Dict[str, Any]:
-    """Execute ``job`` and wrap its timing and cache traffic around it.
+    """Execute ``job`` and return its envelope; a failure is not raised.
+
+    The envelope holds ``value`` on success, or ``error``,
+    ``error_type`` and ``transient`` on failure, and in both cases the
+    job's wall time, pid and cache traffic. A success is any envelope
+    without ``error_type``.
 
     The ``engine.job`` span materializes when a tracer is active in this
     process: the batch's own in serial mode, or the per-job tracer that
@@ -178,20 +209,28 @@ def _worker_run(job: Job) -> Dict[str, Any]:
     cache = get_reliability_cache()
     before = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
     start = time.perf_counter()
-    with obs.span("engine.job", job=job.job_id, kind=job.kind):
-        value = execute_job(job)
+    try:
+        with obs.span("engine.job", job=job.job_id, kind=job.kind):
+            envelope = {"value": execute_job(job)}
+    except Exception as exc:
+        envelope = _failure(exc)
+        # The traceback goes to the structured log, not into the result,
+        # which must not depend on where the code is installed.
+        obs.log("engine.job_error", level="warning", job=job.job_id,
+                error=envelope["error_type"],
+                traceback=traceback.format_exc(limit=3))
     wall = time.perf_counter() - start
-    if obs.enabled():
+    if obs.enabled() and "error_type" not in envelope:
         obs.counter("engine.jobs.completed").inc()
         obs.histogram("engine.job.seconds").observe(wall)
     after = (cache.stats.hits, cache.stats.misses) if cache is not None else (0, 0)
-    return {
-        "value": value,
-        "wall_time": wall,
-        "worker_pid": os.getpid(),
-        "cache_hits": after[0] - before[0],
-        "cache_misses": after[1] - before[1],
-    }
+    envelope.update(
+        wall_time=wall,
+        worker_pid=os.getpid(),
+        cache_hits=after[0] - before[0],
+        cache_misses=after[1] - before[1],
+    )
+    return envelope
 
 
 @contextmanager
@@ -240,7 +279,7 @@ def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
 
     Under a trace context the job runs under its own tracer, whose root
     span parents to the coordinator's span. The spans and the job's
-    metrics delta are flushed before this returns or raises: the
+    metrics delta are flushed before the envelope is returned: the
     coordinator folds the spool as each result arrives, so no result
     outruns its telemetry.
     """
@@ -297,32 +336,232 @@ def worker_trace_context(batch_name: str) -> Optional["obs.TraceContext"]:
     return obs.TraceContext.from_span(cur, batch=batch_name)
 
 
-def _ok_result(job: Job, wrapped: Dict[str, Any], attempts: int) -> JobResult:
+# ---------------------------------------------------------------------------
+# Dispatch
+
+
+def _should_retry(envelope: Dict[str, Any], attempts: int, retries: int) -> bool:
+    """The one retry rule: a transient failure while the budget lasts."""
+    return bool(envelope.get("transient")) and attempts <= retries
+
+
+def _job_result(job: Job, envelope: Dict[str, Any], attempts: int) -> JobResult:
+    """The one builder of a :class:`JobResult`, from a final envelope."""
     return JobResult(
         job_id=job.job_id,
-        ok=True,
-        value=wrapped["value"],
+        ok="error_type" not in envelope,
+        value=envelope.get("value"),
+        error=envelope.get("error"),
+        error_type=envelope.get("error_type"),
         attempts=attempts,
-        wall_time=wrapped["wall_time"],
-        worker_pid=wrapped["worker_pid"],
-        cache_hits=wrapped["cache_hits"],
-        cache_misses=wrapped["cache_misses"],
+        wall_time=envelope.get("wall_time", 0.0),
+        worker_pid=envelope.get("worker_pid"),
+        cache_hits=envelope.get("cache_hits", 0),
+        cache_misses=envelope.get("cache_misses", 0),
         meta=dict(job.meta),
     )
 
 
-def _failed_result(
-    job: Job, exc: BaseException, attempts: int, wall: float
-) -> JobResult:
-    return JobResult(
-        job_id=job.job_id,
-        ok=False,
-        error=str(exc) or exc.__class__.__name__,
-        error_type=exc.__class__.__name__,
-        attempts=attempts,
-        wall_time=wall,
-        meta=dict(job.meta),
-    )
+def _dispatch(batch: BatchSpec, transport: Any, retries: int,
+              writer: TelemetryWriter) -> Iterator[JobResult]:
+    """The one dispatch loop every executor mode runs.
+
+    Journals ``job_start`` and submits every job; then, for each
+    ``(job, attempts, envelope)`` the transport completes, either
+    resubmits the job (journaling ``job_retry``) or builds its result,
+    journals ``job_end`` and yields it. Closing this iterator closes the
+    transport, which is how ``should_stop``, timeouts and exhausted
+    restarts tear a batch down.
+    """
+    try:
+        for job in batch.jobs:
+            writer.emit("job_start", job=job.job_id, kind=job.kind,
+                        mode=transport.mode)
+            transport.submit(job, 1)
+        for job, attempts, envelope in transport.completions():
+            if _should_retry(envelope, attempts, retries):
+                writer.emit("job_retry", job=job.job_id, attempt=attempts,
+                            error=envelope["error_type"])
+                transport.submit(job, attempts + 1)
+                continue
+            result = _job_result(job, envelope, attempts)
+            writer.emit(
+                "job_end",
+                job=result.job_id,
+                ok=result.ok,
+                attempts=result.attempts,
+                wall_time=round(result.wall_time, 6),
+                cache_hits=result.cache_hits,
+                cache_misses=result.cache_misses,
+                error=result.error_type,
+            )
+            yield result
+    finally:
+        transport.close()
+
+
+class _InlineTransport:
+    """Runs each job in this process; a resubmitted job runs next."""
+
+    mode = "serial"
+
+    def __init__(self, writer: TelemetryWriter, cache_dir: Optional[str],
+                 cache_backend: str, cache_shards: Optional[int]) -> None:
+        from ..ilp.search_events import capture_search_events
+
+        self._runnable: deque = deque()
+        self._scope = ExitStack()
+        # Reuse an already-installed cache (e.g. inside a pool worker
+        # running a nested batch); otherwise install one for this batch.
+        if get_reliability_cache() is None:
+            cache = ReliabilityCache(cache_dir, backend=cache_backend,
+                                     shards=cache_shards)
+            self._scope.callback(cache.close)
+            self._scope.enter_context(reliability_cache(cache))
+        # With durable telemetry, stream the B&B search tree of every
+        # solve into the journal — that is what ``repro tree`` and the
+        # service's /events tail render.
+        if writer.path:
+            self._scope.enter_context(capture_search_events(
+                lambda ev: writer.emit("bnb_event", **ev)
+            ))
+
+    def submit(self, job: Job, attempts: int) -> None:
+        if attempts > 1:
+            self._runnable.appendleft((job, attempts))
+        else:
+            self._runnable.append((job, attempts))
+
+    def completions(self) -> Iterator[_Completion]:
+        while self._runnable:
+            job, attempts = self._runnable.popleft()
+            yield job, attempts, _worker_run(job)
+
+    def close(self) -> None:
+        self._scope.close()
+
+
+class _PoolTransport:
+    """A process pool: per-job timeouts, spool folding, pool rebuilds.
+
+    A job is resubmitted only in response to its own completion, so it
+    is never in flight twice.
+    """
+
+    mode = "pool"
+
+    def __init__(self, batch_name: str, jobs: int, timeout: Optional[float],
+                 writer: TelemetryWriter, cache_dir: Optional[str],
+                 cache_backend: str, cache_shards: Optional[int]) -> None:
+        # Workers spool their telemetry into a per-batch directory that
+        # the collector folds home. With no tracer and no trace context
+        # active, workers skip span collection.
+        self._spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
+        self._collector = obs.SpoolCollector(self._spool_dir, writer=writer)
+        self._make_pool = partial(
+            ProcessPoolExecutor, max_workers=jobs, initializer=_worker_init,
+            initargs=(self._spool_dir, worker_trace_context(batch_name),
+                      cache_dir, cache_backend, cache_shards),
+        )
+        self._timeout = timeout
+        self._writer = writer
+        # future -> (job, attempts, submitted_at)
+        self._pending: Dict[Any, Tuple[Job, int, float]] = {}
+        self._restarts = 0
+        # Set once a worker may still be busy with a job nobody waits for.
+        self._abandoned = False
+        self._pool = self._make_pool()
+
+    def submit(self, job: Job, attempts: int) -> None:
+        try:
+            fut = self._pool.submit(_pool_run, job)
+        except BrokenProcessPool as exc:
+            # The pool broke under another job: park this one on a failed
+            # future, so the rebuild below resubmits it with the rest.
+            fut = Future()
+            fut.set_exception(exc)
+        self._pending[fut] = (job, attempts, time.monotonic())
+
+    def _complete(self, job: Job, attempts: int,
+                  envelope: Dict[str, Any]) -> _Completion:
+        # The worker flushed the job's telemetry before returning.
+        self._collector.poll()
+        return job, attempts, envelope
+
+    def completions(self) -> Iterator[_Completion]:
+        poll = 0.25 if self._timeout is not None else None
+        while self._pending:
+            done, _ = wait(list(self._pending), timeout=poll,
+                           return_when=FIRST_COMPLETED)
+            for fut in done:
+                exc = fut.exception()
+                if isinstance(exc, BrokenProcessPool):
+                    continue  # handled wholesale below
+                job, attempts, _ = self._pending.pop(fut)
+                envelope = fut.result() if exc is None else _failure(exc)
+                yield self._complete(job, attempts, envelope)
+            if any(f.done() and isinstance(f.exception(), BrokenProcessPool)
+                   for f in self._pending):
+                yield from self._rebuild()
+            elif self._timeout is not None:
+                yield from self._expire()
+
+    def _rebuild(self) -> Iterator[_Completion]:
+        """Replace a broken pool and resubmit its in-flight jobs.
+
+        The resubmissions bump the attempt count but spend no retry: the
+        pool broke, not the job. Past ``MAX_WORKER_RESTARTS`` the
+        in-flight jobs fail instead.
+        """
+        self._restarts += 1
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        exhausted = self._restarts > MAX_WORKER_RESTARTS
+        if exhausted:
+            self._abandoned = True
+        else:
+            self._writer.emit("pool_restart", count=self._restarts)
+            self._pool = self._make_pool()
+        inflight, self._pending = self._pending, {}
+        for fut, (job, attempts, _) in inflight.items():
+            if fut.done() and fut.exception() is None:
+                # The pool broke *around* a completed job: report its
+                # finished result instead of running it again.
+                yield self._complete(job, attempts, fut.result())
+            elif exhausted:
+                yield job, attempts, _failure(
+                    BrokenProcessPool("pool restarts exhausted"),
+                    transient=False,
+                )
+            else:
+                self.submit(job, attempts + 1)
+
+    def _expire(self) -> Iterator[_Completion]:
+        """Cancel every attempt past the per-job timeout."""
+        now = time.monotonic()
+        for fut, (job, attempts, submitted) in list(self._pending.items()):
+            if fut.done() or now - submitted <= self._timeout:
+                continue
+            # A running job cannot be cancelled: its worker finishes it
+            # in the background and the result is discarded.
+            fut.cancel()
+            del self._pending[fut]
+            self._abandoned = True
+            self._writer.emit("job_timeout", job=job.job_id,
+                              timeout=self._timeout)
+            yield job, attempts, _failure(
+                TimeoutError(f"job exceeded {self._timeout}s"),
+                wall_time=self._timeout,
+            )
+
+    def close(self) -> None:
+        # A drained pool's workers are idle and exit at once, so waiting
+        # lands their exit ship and cache flush before the final fold. A
+        # worker still busy with a timed-out job, or with a stopped
+        # batch's job, is not waited for.
+        self._pool.shutdown(wait=not (self._pending or self._abandoned),
+                            cancel_futures=True)
+        self._collector.drain()
+        shutil.rmtree(self._spool_dir, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -376,242 +615,6 @@ class BatchResult:
         return "; ".join(parts)
 
 
-def _iter_serial(
-    batch: BatchSpec,
-    cache_dir: Optional[str],
-    retries: int,
-    writer: TelemetryWriter,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
-) -> Iterator[JobResult]:
-    from ..ilp.search_events import capture_search_events
-
-    # Reuse an already-installed cache (e.g. inside a pool worker running a
-    # nested batch); otherwise install one scoped to this batch.
-    own_cache = get_reliability_cache() is None
-    cache = (
-        ReliabilityCache(cache_dir, backend=cache_backend, shards=cache_shards)
-        if own_cache else None
-    )
-    # With durable telemetry, stream the B&B search tree of every solve
-    # into the journal — that is what ``repro tree`` and the service's
-    # /events tail render. A no-op writer keeps the solver silent.
-    search_ctx = (
-        capture_search_events(
-            lambda ev: writer.emit("bnb_event", **ev)
-        )
-        if writer.path else nullcontext()
-    )
-    try:
-        ctx = reliability_cache(cache) if own_cache else nullcontext()
-        with ctx, search_ctx:
-            for job in batch.jobs:
-                writer.emit("job_start", job=job.job_id, kind=job.kind, mode="serial")
-                attempts = 0
-                while True:
-                    attempts += 1
-                    start = time.perf_counter()
-                    try:
-                        wrapped = _worker_run(job)
-                    except TRANSIENT_EXCEPTIONS as exc:
-                        wall = time.perf_counter() - start
-                        if attempts <= retries:
-                            writer.emit(
-                                "job_retry", job=job.job_id, attempt=attempts,
-                                error=type(exc).__name__,
-                            )
-                            continue
-                        result = _failed_result(job, exc, attempts, wall)
-                    except Exception as exc:
-                        wall = time.perf_counter() - start
-                        result = _failed_result(job, exc, attempts, wall)
-                        result.error = f"{exc}\n{traceback.format_exc(limit=3)}"
-                    else:
-                        result = _ok_result(job, wrapped, attempts)
-                    break
-                _emit_job_end(writer, result)
-                yield result
-    finally:
-        if cache is not None:
-            cache.close()
-
-
-def _emit_job_end(writer: TelemetryWriter, result: JobResult) -> None:
-    writer.emit(
-        "job_end",
-        job=result.job_id,
-        ok=result.ok,
-        attempts=result.attempts,
-        wall_time=round(result.wall_time, 6),
-        cache_hits=result.cache_hits,
-        cache_misses=result.cache_misses,
-        error=result.error_type,
-    )
-
-
-def _iter_pool(
-    batch: BatchSpec,
-    jobs: int,
-    cache_dir: Optional[str],
-    retries: int,
-    timeout: Optional[float],
-    writer: TelemetryWriter,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
-) -> Iterator[JobResult]:
-    # Workers spool their telemetry into a per-batch directory that the
-    # collector folds home. With no tracer and no trace context active,
-    # workers skip span collection.
-    spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
-    collector = obs.SpoolCollector(spool_dir, writer=writer)
-    initargs = (spool_dir, worker_trace_context(batch.name), cache_dir,
-                cache_backend, cache_shards)
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=initargs,
-        )
-
-    pool = make_pool()
-    restarts = 0
-    timed_out = False
-    drained = False
-    pending: Dict[Any, tuple] = {}  # future -> (job, attempts, submitted_at)
-    # Every job_id is in exactly one of these at any time: ``inflight``
-    # (job_id -> its one live future) or ``finished`` (already yielded).
-    # Resubmission paths — timeout, transient retry, pool rebuild — can
-    # race each other when a rebuild happens while a per-job timeout is
-    # in flight; keying on job_id guarantees a job is never submitted
-    # twice concurrently nor yielded twice (which double-counted it in
-    # telemetry and metrics).
-    inflight: Dict[str, Any] = {}
-    finished: set = set()
-
-    def submit(job: Job, attempts: int) -> None:
-        if job.job_id in finished or job.job_id in inflight:
-            writer.emit("job_dedup", job=job.job_id, attempt=attempts)
-            return
-        fut = pool.submit(_pool_run, job)
-        pending[fut] = (job, attempts, time.monotonic())
-        inflight[job.job_id] = fut
-
-    def drop(fut) -> tuple:
-        job, attempts, submitted = pending.pop(fut)
-        if inflight.get(job.job_id) is fut:
-            del inflight[job.job_id]
-        return job, attempts, submitted
-
-    def finish(result: JobResult) -> Optional[JobResult]:
-        if result.job_id in finished:
-            return None  # a duplicate execution already reported this job
-        finished.add(result.job_id)
-        # The worker flushed the job's telemetry before returning it.
-        collector.poll()
-        return result
-
-    try:
-        for job in batch.jobs:
-            writer.emit("job_start", job=job.job_id, kind=job.kind, mode="pool")
-            submit(job, 1)
-
-        while pending:
-            poll = 0.25 if timeout is not None else None
-            try:
-                done, _ = wait(
-                    list(pending), timeout=poll, return_when=FIRST_COMPLETED
-                )
-            except BrokenProcessPool:
-                done = set()
-
-            for fut in done:
-                if fut not in pending:
-                    continue
-                job, attempts, _submitted = drop(fut)
-                exc = fut.exception()
-                if exc is None:
-                    result = finish(_ok_result(job, fut.result(), attempts))
-                    if result is not None:
-                        yield result
-                    continue
-                if isinstance(exc, BrokenProcessPool):
-                    # Handled wholesale below by rebuilding the pool.
-                    pending[fut] = (job, attempts, _submitted)
-                    inflight[job.job_id] = fut
-                    continue
-                if isinstance(exc, TRANSIENT_EXCEPTIONS) and attempts <= retries:
-                    writer.emit(
-                        "job_retry", job=job.job_id, attempt=attempts,
-                        error=type(exc).__name__,
-                    )
-                    submit(job, attempts + 1)
-                else:
-                    result = finish(_failed_result(job, exc, attempts, 0.0))
-                    if result is not None:
-                        yield result
-
-            broken = [f for f in pending if f.done() and isinstance(
-                f.exception(), BrokenProcessPool)]
-            if broken:
-                restarts += 1
-                pool.shutdown(wait=False, cancel_futures=True)
-                if restarts > MAX_POOL_RESTARTS:
-                    for fut in list(pending):
-                        job, attempts, _ = drop(fut)
-                        result = finish(_failed_result(
-                            job, BrokenProcessPool("pool restarts exhausted"),
-                            attempts, 0.0,
-                        ))
-                        if result is not None:
-                            yield result
-                    return
-                writer.emit("pool_restart", count=restarts)
-                pool = make_pool()
-                for fut in list(pending):
-                    job, attempts, _ = drop(fut)
-                    if fut.done() and fut.exception() is None:
-                        # The pool broke *around* a completed job: report
-                        # its finished result instead of running it again.
-                        result = finish(_ok_result(job, fut.result(), attempts))
-                        if result is not None:
-                            yield result
-                        continue
-                    submit(job, attempts + 1)
-                continue
-
-            if timeout is not None:
-                now = time.monotonic()
-                for fut in [f for f in pending if not f.done()]:
-                    job, attempts, submitted = pending[fut]
-                    if now - submitted <= timeout:
-                        continue
-                    fut.cancel()
-                    drop(fut)
-                    timed_out = True
-                    if attempts <= retries:
-                        writer.emit(
-                            "job_retry", job=job.job_id, attempt=attempts,
-                            error="TimeoutError",
-                        )
-                        submit(job, attempts + 1)
-                    else:
-                        writer.emit("job_timeout", job=job.job_id, timeout=timeout)
-                        result = finish(_failed_result(
-                            job, TimeoutError(f"job exceeded {timeout}s"),
-                            attempts, timeout,
-                        ))
-                        if result is not None:
-                            yield result
-        drained = not timed_out
-    finally:
-        # A drained pool's workers are idle and exit at once, so waiting
-        # lands their exit ship and cache flush before the final fold. A
-        # worker still busy with a timed-out job, or with a stopped
-        # batch's job, is not waited for.
-        pool.shutdown(wait=drained, cancel_futures=True)
-        collector.drain()
-        shutil.rmtree(spool_dir, ignore_errors=True)
-
-
 #: Executor modes accepted by :func:`iter_batch` / :func:`run_batch`.
 EXECUTOR_MODES = ("serial", "pool", "queue")
 
@@ -648,16 +651,7 @@ def iter_batch(
     # spool deltas home.
     obs.add_observer()
     try:
-        if mode == "serial":
-            yield from _iter_serial(batch, cache_dir, retries, writer,
-                                    cache_backend=cache_backend,
-                                    cache_shards=cache_shards)
-        elif mode == "pool":
-            yield from _iter_pool(batch, max(jobs, 1), cache_dir, retries,
-                                  timeout, writer,
-                                  cache_backend=cache_backend,
-                                  cache_shards=cache_shards)
-        else:
+        if mode == "queue":
             from .queue_exec import iter_queue
 
             yield from iter_queue(batch, jobs=max(jobs, 1),
@@ -666,6 +660,14 @@ def iter_batch(
                                   writer=writer,
                                   cache_backend=cache_backend,
                                   cache_shards=cache_shards)
+            return
+        cache = (cache_dir, cache_backend, cache_shards)
+        transport = (
+            _InlineTransport(writer, *cache) if mode == "serial"
+            else _PoolTransport(batch.name, max(jobs, 1), timeout, writer,
+                                *cache)
+        )
+        yield from _dispatch(batch, transport, retries, writer)
     finally:
         obs.remove_observer()
 
@@ -742,17 +744,12 @@ def run_batch(
             done = failed = 0
             stopped = should_stop is not None and should_stop()
             if not stopped:
-                mode = executor if executor is not None else (
-                    "serial" if jobs <= 1 else "pool"
-                )
                 for result in iter_batch(
                     batch, jobs=jobs, cache_dir=cache_dir, retries=retries,
                     timeout=timeout, writer=writer, executor=executor,
                     queue_dir=queue_dir, cache_backend=cache_backend,
                     cache_shards=cache_shards,
                 ):
-                    if mode != "serial":
-                        _emit_job_end(writer, result)
                     results.append(result)
                     done += 1
                     failed += 0 if result.ok else 1

@@ -17,7 +17,7 @@ the paper's evaluation is made of:
   under each cost budget) as one bisection job per budget.
 
 Builders only *describe* work; :func:`repro.engine.run_batch` executes it,
-serially or across a process pool.
+serially, across a process pool, or through the file work queue.
 """
 
 from __future__ import annotations

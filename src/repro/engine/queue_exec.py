@@ -9,13 +9,24 @@ results flow back through the same directory. That makes a sweep
 restartable (the queue survives the coordinator) and lets several hosts
 share one cache-backed queue over a common mount.
 
+The queue is the third transport of the executor's one dispatch loop:
+:func:`iter_queue` hands the batch to the same loop that serial and pool
+runs use, which journals each job, applies the retry rule and builds the
+results, while the transport here enqueues, polls for published records
+and fans them out. Workers run each job into the same envelope as the
+other modes and retry transient failures themselves under that rule, so
+a record they publish is final for the coordinator.
+
 Layout under ``queue_dir``::
 
     jobs/<digest>.pkl       the pickled :class:`~repro.engine.jobs.Job`
     pending/<digest>.json   claim token ({"attempts": n}); presence = runnable
     leased/<digest>.json    the same token while a worker owns the job;
                             the file's mtime is the worker's heartbeat
-    results/<digest>.pkl    the finished record (ok payload or failure)
+    results/<digest>.pkl    the finished record: ``ok``, ``attempts`` and
+                            the job's envelope, under ``wrapped`` on
+                            success and inline (``error``, ``error_type``,
+                            wall time, pid, cache traffic) on failure
     trace.json              the coordinator's :class:`repro.obs.TraceContext`
                             (trace id + parent span uid); workers adopt it
                             so their spans join the coordinator's trace
@@ -60,9 +71,11 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import obs
 from .executor import (
-    TRANSIENT_EXCEPTIONS,
-    _ok_result,
+    MAX_WORKER_RESTARTS,
+    _Completion,
+    _dispatch,
     _run_shipped,
+    _should_retry,
     worker_runtime,
     worker_trace_context,
 )
@@ -79,10 +92,6 @@ __all__ = [
 
 #: Seconds a lease may go without a heartbeat before it is re-queued.
 DEFAULT_LEASE_TTL = 60.0
-
-#: How many crashed local workers :func:`iter_queue` will replace before
-#: failing the remaining jobs instead of spinning forever.
-MAX_WORKER_RESTARTS = 3
 
 #: Coordinator/worker polling granularity when the queue is quiet.
 POLL_INTERVAL = 0.05
@@ -455,33 +464,18 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
     # coordinator stops collecting once every result is in, so no
     # result ever outruns its spans and metrics.
     try:
-        try:
-            wrapped = _run_shipped(job, spool, trace_ctx)
-        except TRANSIENT_EXCEPTIONS as exc:
-            if lease.attempts <= retries:
-                if obs.enabled():
-                    obs.counter("engine.queue.retries").inc()
-                queue.release(lease)
-            else:
-                queue.write_result(lease.digest, {
-                    "ok": False,
-                    "attempts": lease.attempts,
-                    "error": str(exc) or type(exc).__name__,
-                    "error_type": type(exc).__name__,
-                })
-        except Exception as exc:
-            queue.write_result(lease.digest, {
-                "ok": False,
-                "attempts": lease.attempts,
-                "error": str(exc) or type(exc).__name__,
-                "error_type": type(exc).__name__,
-            })
+        envelope = _run_shipped(job, spool, trace_ctx)
+        if _should_retry(envelope, lease.attempts, retries):
+            if obs.enabled():
+                obs.counter("engine.queue.retries").inc()
+            queue.release(lease)
+            return
+        if "error_type" in envelope:
+            record = dict(envelope, ok=False, attempts=lease.attempts)
         else:
-            queue.write_result(lease.digest, {
-                "ok": True,
-                "attempts": lease.attempts,
-                "wrapped": wrapped,
-            })
+            record = {"ok": True, "attempts": lease.attempts,
+                      "wrapped": envelope}
+        queue.write_result(lease.digest, record)
     finally:
         stop.set()
         beat.join(timeout=1.0)
@@ -572,24 +566,147 @@ def run_worker(
 # Coordinator
 
 
-def _record_result(job: Job, record: Dict[str, Any], primary: bool,
-                   writer: TelemetryWriter) -> JobResult:
-    if record.get("ok"):
-        result = _ok_result(job, record["wrapped"], int(record["attempts"]))
-        if not primary:
-            # The fan-out copies of a deduplicated execution must not
-            # double-count the one worker's cache traffic.
-            result.cache_hits = 0
-            result.cache_misses = 0
-        return result
-    return JobResult(
-        job_id=job.job_id,
-        ok=False,
-        error=record.get("error"),
-        error_type=record.get("error_type"),
-        attempts=int(record.get("attempts", 1)),
-        meta=dict(job.meta),
-    )
+class _QueueTransport:
+    """The file work queue as a dispatch transport (see :func:`iter_queue`).
+
+    Jobs sharing a digest run once and fan back out to every job id that
+    asked for it. A published record is final: the worker that wrote it
+    already spent its own retry budget, so :func:`_dispatch` never
+    resubmits a queue job.
+    """
+
+    mode = "queue"
+
+    def __init__(self, batch_name: str, writer: TelemetryWriter,
+                 queue_dir: Optional[Union[str, Path]], workers: int,
+                 poll_interval: float, **worker_kwargs: Any) -> None:
+        self._own_queue = queue_dir is None
+        qdir = (
+            Path(tempfile.mkdtemp(prefix="repro-queue-"))
+            if self._own_queue else Path(queue_dir)
+        )
+        self._queue = FileWorkQueue(qdir)
+        self._stop_path = self._queue.path / _STOP_FILE
+        try:
+            self._stop_path.unlink()  # a stale stop marker would strand the workers
+        except OSError:
+            pass
+        self._queue.write_trace_context(
+            worker_trace_context(batch_name)
+            or obs.TraceContext.mint(batch=batch_name)
+        )
+        self._collector = obs.SpoolCollector(self._queue.spool_dir, writer=writer)
+        obs.add_health_source(
+            "queue", lambda: self._queue.health(collector=self._collector)
+        )
+        self._writer = writer
+        # run_worker's settings for every worker this coordinator spawns.
+        self._worker_kwargs = dict(worker_kwargs, queue_dir=str(qdir),
+                                   stop_file=str(self._stop_path))
+        self._spawn = workers
+        self._ttl = worker_kwargs["lease_ttl"]
+        self._max_attempts = worker_kwargs["retries"] + 1
+        self._poll_interval = poll_interval
+        self._by_digest: Dict[str, List[Job]] = {}
+        self._workers: List[Process] = []
+        self._restarts = 0
+
+    def submit(self, job: Job, attempts: int) -> None:
+        digest, status = self._queue.enqueue(job)
+        group = self._by_digest.setdefault(digest, [])
+        if group or status in ("duplicate", "cached"):
+            self._writer.emit("job_dedup", job=job.job_id, digest=digest[:12],
+                              status=status)
+            if obs.enabled():
+                obs.counter("engine.queue.jobs.deduped").inc()
+        elif obs.enabled():
+            obs.counter("engine.queue.jobs.enqueued").inc()
+        group.append(job)
+
+    def _start_worker(self) -> Process:
+        worker = Process(target=run_worker, kwargs=self._worker_kwargs,
+                         daemon=True)
+        worker.start()
+        return worker
+
+    def _replace_dead_workers(self) -> bool:
+        """Respawn crashed workers within the budget; False if none live."""
+        for i, worker in enumerate(self._workers):
+            # Workers only exit on the stop file — a dead one crashed.
+            if worker.is_alive() or self._restarts >= MAX_WORKER_RESTARTS:
+                continue
+            self._restarts += 1
+            self._writer.emit("worker_restart", count=self._restarts)
+            self._workers[i] = self._start_worker()
+        return any(w.is_alive() for w in self._workers)
+
+    def completions(self) -> Iterator[_Completion]:
+        self._workers = [self._start_worker() for _ in range(self._spawn)]
+        unresolved = set(self._by_digest)
+        while unresolved:
+            progressed = False
+            for digest in sorted(unresolved):
+                record = self._queue.load_result(digest)
+                if record is None:
+                    continue
+                # Workers flush their spool before publishing a result,
+                # so folding first guarantees the metrics and spans of
+                # this job are home before its JobResult is yielded.
+                self._collector.poll()
+                unresolved.discard(digest)
+                progressed = True
+                if obs.enabled():
+                    obs.counter("engine.queue.results").inc()
+                # Final: the worker already spent the retry budget.
+                envelope = dict(record.get("wrapped", record), transient=False)
+                attempts = int(record.get("attempts", 1))
+                for job in self._by_digest[digest]:
+                    yield job, attempts, envelope
+                    # The fan-out copies of a deduplicated execution must
+                    # not double-count the one worker's cache traffic.
+                    envelope = dict(envelope, cache_hits=0, cache_misses=0)
+            if not unresolved:
+                break
+            self._collector.poll()
+            requeued, expired_failed = self._queue.requeue_expired(
+                self._ttl, max_attempts=self._max_attempts
+            )
+            if requeued:
+                self._writer.emit("lease_expired", requeued=requeued)
+                if obs.enabled():
+                    obs.counter("engine.queue.leases.expired").inc(requeued)
+            if expired_failed and obs.enabled():
+                obs.counter("engine.queue.leases.failed").inc(expired_failed)
+            if self._workers and not self._replace_dead_workers():
+                # Restart budget exhausted and nobody is draining: fail
+                # what's left instead of polling forever.
+                for digest in sorted(unresolved):
+                    for job in self._by_digest[digest]:
+                        yield job, 1, {
+                            "error": "queue workers exhausted restarts",
+                            "error_type": "BrokenWorkerError",
+                        }
+                return
+            if not progressed:
+                time.sleep(self._poll_interval)
+
+    def close(self) -> None:
+        obs.remove_health_source("queue")
+        try:
+            self._stop_path.touch()
+        except OSError:
+            pass
+        for worker in self._workers:
+            worker.join(timeout=10.0)
+        for worker in self._workers:
+            if worker.is_alive():  # pragma: no cover - last resort
+                worker.terminate()
+                worker.join(timeout=1.0)
+        # Final sweep: the workers' exit deltas (and, with external
+        # workers, anything flushed since the last poll).
+        self._collector.drain()
+        if self._own_queue:
+            shutil.rmtree(self._queue.path, ignore_errors=True)
 
 
 def iter_queue(
@@ -612,6 +729,8 @@ def iter_queue(
     which case external ``repro worker`` processes pointed at the same
     directory are expected to do the draining. Identical jobs collapse
     onto one execution and fan back out to every requesting ``job_id``.
+    Workers retry transient failures themselves (``retries``), so a
+    record they publish is final for the coordinator.
 
     The coordinator writes its :class:`repro.obs.TraceContext` into the
     queue (minting one — parented under the live batch span when a
@@ -623,131 +742,10 @@ def iter_queue(
     ``/healthz`` for the duration of the drain.
     """
     writer = writer if writer is not None else TelemetryWriter(None)
-    ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
-    own_queue = queue_dir is None
-    qdir = (
-        Path(tempfile.mkdtemp(prefix="repro-queue-"))
-        if own_queue else Path(queue_dir)
+    transport = _QueueTransport(
+        batch.name, writer, queue_dir, jobs if spawn_workers else 0,
+        poll_interval, cache_dir=cache_dir, cache_backend=cache_backend,
+        cache_shards=cache_shards, retries=retries,
+        lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
     )
-    queue = FileWorkQueue(qdir)
-    stop_path = queue.path / _STOP_FILE
-    try:
-        stop_path.unlink()  # a stale stop marker would strand the workers
-    except OSError:
-        pass
-
-    queue.write_trace_context(
-        worker_trace_context(batch.name)
-        or obs.TraceContext.mint(batch=batch.name)
-    )
-    collector = obs.SpoolCollector(queue.spool_dir, writer=writer)
-    obs.add_health_source("queue", lambda: queue.health(collector=collector))
-
-    by_digest: Dict[str, List[Job]] = {}
-    for job in batch.jobs:
-        writer.emit("job_start", job=job.job_id, kind=job.kind, mode="queue")
-        digest, status = queue.enqueue(job)
-        group = by_digest.setdefault(digest, [])
-        if group or status in ("duplicate", "cached"):
-            writer.emit("job_dedup", job=job.job_id, digest=digest[:12],
-                        status=status)
-            if obs.enabled():
-                obs.counter("engine.queue.jobs.deduped").inc()
-        elif obs.enabled():
-            obs.counter("engine.queue.jobs.enqueued").inc()
-        group.append(job)
-
-    def spawn() -> Process:
-        worker = Process(
-            target=run_worker,
-            kwargs={
-                "queue_dir": str(qdir),
-                "cache_dir": cache_dir,
-                "cache_backend": cache_backend,
-                "cache_shards": cache_shards,
-                "retries": retries,
-                "lease_ttl": ttl,
-                "stop_file": str(stop_path),
-            },
-            daemon=True,
-        )
-        worker.start()
-        return worker
-
-    workers: List[Process] = [spawn() for _ in range(jobs)] if spawn_workers else []
-    restarts = 0
-    unresolved = set(by_digest)
-    try:
-        while unresolved:
-            progressed = False
-            for digest in sorted(unresolved):
-                record = queue.load_result(digest)
-                if record is None:
-                    continue
-                # Workers flush their spool before publishing a result,
-                # so folding first guarantees the metrics and spans of
-                # this job are home before its JobResult is yielded.
-                collector.poll()
-                unresolved.discard(digest)
-                progressed = True
-                if obs.enabled():
-                    obs.counter("engine.queue.results").inc()
-                for i, job in enumerate(by_digest[digest]):
-                    yield _record_result(job, record, primary=(i == 0),
-                                         writer=writer)
-            if not unresolved:
-                break
-            collector.poll()
-            requeued, expired_failed = queue.requeue_expired(
-                ttl, max_attempts=retries + 1
-            )
-            if requeued:
-                writer.emit("lease_expired", requeued=requeued)
-                if obs.enabled():
-                    obs.counter("engine.queue.leases.expired").inc(requeued)
-            if expired_failed and obs.enabled():
-                obs.counter("engine.queue.leases.failed").inc(expired_failed)
-            if spawn_workers:
-                for i, worker in enumerate(workers):
-                    if worker.is_alive():
-                        continue
-                    # Workers only exit on the stop file — a dead one
-                    # crashed. Replace it a bounded number of times.
-                    if restarts >= MAX_WORKER_RESTARTS:
-                        continue
-                    restarts += 1
-                    writer.emit("worker_restart", count=restarts)
-                    workers[i] = spawn()
-                if workers and all(not w.is_alive() for w in workers):
-                    # Restart budget exhausted and nobody is draining:
-                    # fail what's left instead of polling forever.
-                    for digest in sorted(unresolved):
-                        for job in by_digest[digest]:
-                            yield JobResult(
-                                job_id=job.job_id,
-                                ok=False,
-                                error="queue workers exhausted restarts",
-                                error_type="BrokenWorkerError",
-                                meta=dict(job.meta),
-                            )
-                    unresolved.clear()
-                    break
-            if not progressed:
-                time.sleep(poll_interval)
-    finally:
-        obs.remove_health_source("queue")
-        try:
-            stop_path.touch()
-        except OSError:
-            pass
-        for worker in workers:
-            worker.join(timeout=10.0)
-        for worker in workers:
-            if worker.is_alive():  # pragma: no cover - last resort
-                worker.terminate()
-                worker.join(timeout=1.0)
-        # Final sweep: the workers' exit deltas (and, with external
-        # workers, anything flushed since the last poll).
-        collector.drain()
-        if own_queue:
-            shutil.rmtree(qdir, ignore_errors=True)
+    yield from _dispatch(batch, transport, retries, writer)

@@ -352,6 +352,87 @@ def _echo(job):
     return job.payload["i"]
 
 
+class TestModeEquivalence:
+    """Serial, pool and queue runs go through one dispatch loop, so a
+    batch's results and journal do not depend on the executor mode."""
+
+    MODES = {
+        "serial": dict(jobs=1),
+        "pool": dict(jobs=2),
+        "queue": dict(jobs=2, executor="queue"),
+    }
+
+    @pytest.mark.parametrize("mode", ["pool", "queue"])
+    def test_failed_job_reported_like_serial(self, mode):
+        from repro.service.runner import canonical_results
+
+        batch = requirement_sweep(sweep_spec(), [1e-3], algorithm="mr",
+                                  backend="scipy")
+        batch.jobs.append(Job(job_id="bad", kind="synthesize", payload={
+            "spec": sweep_spec(), "algorithm": "nope", "options": {},
+        }))
+        serial = run_batch(batch, jobs=1)
+        other = run_batch(batch, **self.MODES[mode])
+        assert canonical_results(other.results) == canonical_results(
+            serial.results
+        )
+        bad = other.by_id()["bad"]
+        assert not bad.ok and bad.error_type == "ValueError"
+        assert bad.error == "unknown algorithm 'nope'"
+        assert bad.wall_time > 0
+        assert bad.worker_pid is not None
+
+    @pytest.mark.parametrize("mode", ["serial", "pool", "queue"])
+    def test_repeated_job_id_keeps_every_job(self, mode):
+        batch = BatchSpec("repeat", [
+            Job(job_id="twin", kind="noop", payload={"value": 1}),
+            Job(job_id="twin", kind="noop", payload={"value": 2}),
+            Job(job_id="solo", kind="noop", payload={"value": 3}),
+        ])
+        outcome = run_batch(batch, **self.MODES[mode])
+        assert outcome.num_failed == 0
+        assert len(outcome.results) == 3
+        assert {r.value for r in outcome.results} == {1, 2, 3}
+
+    @pytest.mark.parametrize("mode", ["serial", "pool", "queue"])
+    def test_iter_batch_journals_one_job_end_per_job_start(self, tmp_path,
+                                                           mode):
+        from repro.engine import TelemetryWriter, read_events
+
+        path = tmp_path / "t.jsonl"
+        batch = BatchSpec("journal", [
+            Job(job_id=f"n{i}", kind="noop", payload={"value": i})
+            for i in range(3)
+        ])
+        with TelemetryWriter(path) as writer:
+            results = list(iter_batch(batch, writer=writer,
+                                      **self.MODES[mode]))
+        assert len(results) == 3
+        events = [e["event"] for e in read_events(path)]
+        assert events.count("job_start") == 3
+        assert events.count("job_end") == 3
+
+    def test_failure_traceback_goes_to_the_log_not_the_result(self,
+                                                              tmp_path):
+        from repro import obs
+
+        register_runner("boom", _boom)
+        log_path = tmp_path / "log.jsonl"
+        obs.configure_obslog(path=log_path)
+        try:
+            outcome = run_batch(BatchSpec("boom", [
+                Job(job_id="a", kind="boom", payload={}),
+            ]))
+        finally:
+            obs.configure_obslog()
+        (res,) = outcome.results
+        assert res.error == "intentional failure"
+        (record,) = [r for r in obs.read_log(log_path)
+                     if r["event"] == "engine.job_error"]
+        assert record["job"] == "a" and record["error"] == "RuntimeError"
+        assert "intentional failure" in record["traceback"]
+
+
 class TestStreamingHooks:
     """The on_result / should_stop hooks the service runner drives."""
 
@@ -522,3 +603,58 @@ class TestPoolRebuildDedup:
         assert submissions.count("B") == 1, "completed job was re-executed"
         assert submissions.count("A") == 2
         assert len(pools) == 2
+
+
+class TestPoolBreaksDuringRebuild:
+    def test_submit_into_a_broken_pool_rebuilds_instead_of_raising(
+            self, monkeypatch):
+        """Regression: a rebuilt pool can break again between two of its
+        resubmissions (the first one killed its new worker at once);
+        ``ProcessPoolExecutor.submit`` then raises ``BrokenProcessPool``,
+        which used to escape the batch instead of triggering a rebuild."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine import executor as executor_mod
+
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers=None, initializer=None,
+                         initargs=()):
+                self.generation = len(pools)
+                self.submitted = []
+                pools.append(self)
+
+            def submit(self, fn, job):
+                if self.generation == 1 and self.submitted:
+                    raise BrokenProcessPool("pool broke between submissions")
+                self.submitted.append(job.job_id)
+                fut = _FakeFuture()
+                if self.generation < 2:
+                    fut.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    fut.set_result(_wrapped_ok(f"{job.job_id}-done"))
+                return fut
+
+            def shutdown(self, wait=False, cancel_futures=False):
+                pass
+
+        def fake_wait(fs, timeout=None, return_when=None):
+            done = {f for f in fs if f.done()}
+            return done, set(fs) - done
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(executor_mod, "wait", fake_wait)
+
+        batch = BatchSpec("rebroken", [
+            Job(job_id="A", kind="noop", payload={}),
+            Job(job_id="B", kind="noop", payload={}),
+        ])
+        results = {r.job_id: r for r in iter_batch(batch, jobs=2, retries=0)}
+
+        assert sorted(results) == ["A", "B"]
+        assert results["A"].ok and results["A"].value == "A-done"
+        assert results["B"].ok and results["B"].value == "B-done"
+        assert len(pools) == 3
+        assert pools[1].submitted == ["A"]
+        assert pools[2].submitted == ["A", "B"]

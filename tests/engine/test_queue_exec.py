@@ -237,6 +237,41 @@ class TestIterQueue:
         secondary = by_id["second"]
         assert secondary.cache_hits == 0 and secondary.cache_misses == 0
 
+    def test_published_failure_is_final_for_the_coordinator(self, tmp_path):
+        """A standalone worker with a smaller retry budget than the
+        coordinator publishes a transient failure; the coordinator must
+        pass it on as terminal, not resubmit it (the queue would answer
+        "cached" and the job would vanish from the results)."""
+        def always_oserror(job):
+            raise OSError("disk unavailable")
+
+        register_runner("always-oserror", always_oserror)
+        batch = BatchSpec("final", [
+            Job(job_id="bad", kind="always-oserror", payload={}),
+            _noop_job(0),
+        ])
+        worker = threading.Thread(
+            target=run_worker,
+            kwargs={"queue_dir": tmp_path, "retries": 0,
+                    "idle_timeout": 30.0, "poll_interval": 0.01},
+            daemon=True,
+        )
+        worker.start()
+        try:
+            results = list(iter_queue(batch, queue_dir=tmp_path, retries=2,
+                                      spawn_workers=False,
+                                      poll_interval=0.01))
+        finally:
+            worker.join(timeout=30.0)
+            _RUNNERS.pop("always-oserror", None)
+        assert not worker.is_alive()
+        by_id = {r.job_id: r for r in results}
+        assert sorted(by_id) == ["bad", "n0"]
+        assert not by_id["bad"].ok
+        assert by_id["bad"].error_type == "OSError"
+        assert by_id["bad"].attempts == 1
+        assert by_id["n0"].ok and by_id["n0"].value == 0
+
     def test_queue_mode_matches_serial(self):
         batch = BatchSpec("equiv", [_noop_job(i) for i in range(6)])
         serial = run_batch(batch, jobs=1)
