@@ -1,8 +1,8 @@
-"""Ablation — MILP backends and search options on synthesis models.
+"""Ablation — MILP backends on synthesis models.
 
 Compares the from-scratch branch-and-bound (DESIGN.md's "no external
-optimizer" path) against HiGHS on the paper-template GENILP model, and the
-two branching rules against each other. Also quantifies what the
+optimizer" path) against HiGHS on the paper-template GENILP model and
+checks that both reach the same optimum. Also quantifies what the
 symmetry-breaking requirement buys on a learned-constraint model (DESIGN.md
 decision: EPS packs declare interchangeable orbits).
 """
@@ -11,7 +11,7 @@ import pytest
 
 from conftest import emit
 from repro.eps import build_eps_template, eps_requirements, eps_spec
-from repro.ilp import BnBOptions, solve_milp
+from repro.ilp import solve_milp
 from repro.synthesis import SymmetryBreaking, SynthesisSpec, synthesize_ilp_mr
 
 
@@ -34,7 +34,7 @@ def base_model(num_generators: int = 2):
 def test_own_bnb_on_genilp(benchmark):
     form = base_model()
     out = benchmark.pedantic(
-        lambda: solve_milp(form, BnBOptions(lp_engine="simplex")),
+        lambda: solve_milp(form),
         rounds=1, iterations=1,
     )
     assert out.status == "optimal"
@@ -57,23 +57,12 @@ def test_backends_agree_on_genilp(benchmark):
     form = base_model()
 
     def both():
-        ours = solve_milp(form, BnBOptions(lp_engine="simplex"))
+        ours = solve_milp(form)
         ref = solve_with_scipy(form)
         return ours, ref
 
     ours, ref = benchmark.pedantic(both, rounds=1, iterations=1)
     assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
-
-
-@pytest.mark.benchmark(group="ablation-solver")
-@pytest.mark.parametrize("branching", ["pseudocost", "most_fractional"])
-def test_branching_rules(benchmark, branching):
-    form = base_model()
-    out = benchmark.pedantic(
-        lambda: solve_milp(form, BnBOptions(branching=branching)),
-        rounds=1, iterations=1,
-    )
-    assert out.status == "optimal"
 
 
 @pytest.mark.benchmark(group="ablation-symmetry")

@@ -8,7 +8,7 @@ ARCHEX prototype. It provides:
 * linearization helpers for the Boolean operations appearing in the paper's
   constraint formulations (:mod:`repro.ilp.logic`);
 * two exact MILP backends — a from-scratch bounded-variable simplex with
-  branch-and-bound, and scipy's HiGHS.
+  pseudocost branch-and-bound, and scipy's HiGHS.
 """
 
 from .branch_and_bound import BnBOptions, BnBStats, solve_milp
@@ -27,7 +27,6 @@ from .logic import (
 )
 from .incremental import WarmStartContext, extend_basis
 from .model import MatrixForm, Model
-from .presolve import PresolveResult, apply_presolve, presolve
 from .search_events import (
     SearchEventEmitter,
     capture_search_events,
@@ -40,9 +39,6 @@ from .solver import AutoTuning, SolveResult, Status, configure_auto, solve
 __all__ = [
     "Model",
     "MatrixForm",
-    "PresolveResult",
-    "apply_presolve",
-    "presolve",
     "Var",
     "LinExpr",
     "Constraint",

@@ -3,22 +3,23 @@
 This module supplies the optimizer role that CPLEX played in the paper's
 ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
 
-* each node solves an LP relaxation (via the from-scratch bounded simplex in
-  :mod:`repro.ilp.simplex`, or scipy's HiGHS ``linprog`` when requested);
-* with the from-scratch engine, every node inherits its parent's optimal
-  basis and re-optimizes with the dual simplex — branching only tightens one
-  variable bound, which leaves the parent basis dual feasible — so child
-  LPs skip phase 1 entirely (``BnBOptions.warm_start``);
+* each node solves an LP relaxation with the from-scratch bounded simplex
+  of :mod:`repro.ilp.simplex`;
+* every node inherits its parent's optimal basis and re-optimizes with the
+  dual simplex — branching only tightens one variable bound, which leaves
+  the parent basis dual feasible — so child LPs skip phase 1 entirely
+  (``BnBOptions.warm_start``);
 * an initial incumbent can be seeded (:func:`solve_milp`'s ``incumbent``)
   so bound pruning is active from node zero — ILP-MR passes the previous
   iteration's optimum when it is still feasible;
-* fractional integer variables are branched on with either most-fractional
-  or pseudocost selection;
+* the fractional integer variable with the highest pseudocost score is
+  branched on;
 * node selection is best-bound with depth-first plunging, which finds
   incumbents early while keeping the global dual bound tight.
 
 The solver is exact: on termination without hitting a limit, the incumbent
-is optimal within the requested gap.
+is optimal within the requested gap. The time and node limits are checked
+before every node LP, so a limited search overshoots by at most one node.
 """
 
 from __future__ import annotations
@@ -46,14 +47,12 @@ _INT_TOL = 1e-6
 class BnBOptions:
     """Tuning knobs for the branch-and-bound search."""
 
-    lp_engine: str = "simplex"  # "simplex" (ours) or "scipy" (HiGHS linprog)
-    branching: str = "pseudocost"  # or "most_fractional"
     time_limit: Optional[float] = None
     node_limit: Optional[int] = None
     gap: float = 1e-9
     plunge_depth: int = 8  # depth-first plunges between best-bound picks
-    #: Warm-start node LPs from the parent's optimal basis via dual simplex
-    #: (simplex engine only). Off = the original cold two-phase start per node.
+    #: Warm-start node LPs from the parent's optimal basis via dual simplex.
+    #: Off = the original cold two-phase start per node.
     warm_start: bool = True
 
 
@@ -83,8 +82,8 @@ class MilpOutcome:
     objective: float
     x: Optional[np.ndarray]
     stats: BnBStats = field(default_factory=BnBStats)
-    #: Optimal basis of the root LP relaxation (simplex engine only) —
-    #: the seed for cross-solve warm starts after appending constraints.
+    #: Optimal basis of the root LP relaxation — the seed for cross-solve
+    #: warm starts after appending constraints.
     root_basis: Optional[LPBasis] = None
 
 
@@ -228,16 +227,14 @@ def _solve_milp_search(
     pruned_nodes = 0
     n = form.num_vars
     int_mask = form.integrality
+    int_idx = np.flatnonzero(int_mask)
     counter = itertools.count()
 
     dense_a = form.dense_A()  # B&B is dispatched to small models only
-    use_simplex = opts.lp_engine != "scipy"
 
     def lp_solve(
         lb: np.ndarray, ub: np.ndarray, basis: Optional[LPBasis] = None
     ) -> LPResult:
-        if not use_simplex:
-            return _scipy_lp(form, dense_a, lb, ub)
         res = solve_lp(
             form.c, dense_a, form.senses, form.b, lb, ub,
             warm_basis=basis if opts.warm_start else None,
@@ -269,13 +266,6 @@ def _solve_milp_search(
     root_basis: Optional[LPBasis] = None
 
     while heap:
-        if opts.time_limit is not None and time.perf_counter() - start > opts.time_limit:
-            hit_limit = True
-            break
-        if opts.node_limit is not None and stats.nodes >= opts.node_limit:
-            hit_limit = True
-            break
-
         node = heapq.heappop(heap)
         if node.bound >= incumbent_obj - opts.gap:
             if seed_active:
@@ -290,6 +280,12 @@ def _solve_milp_search(
         plunge: Optional[_Node] = node
         for _ in range(max(1, opts.plunge_depth)):
             if plunge is None:
+                break
+            if (opts.node_limit is not None and stats.nodes >= opts.node_limit) or (
+                opts.time_limit is not None
+                and time.perf_counter() - start > opts.time_limit
+            ):
+                hit_limit = True
                 break
             stats.nodes += 1
             res = lp_solve(plunge.lb, plunge.ub, plunge.basis)
@@ -327,8 +323,8 @@ def _solve_milp_search(
                 plunge = None
                 continue
 
-            frac_var = _most_fractional(res.x, int_mask)
-            if frac_var is None:
+            var = _branch_var(res.x, int_idx, pseudo)
+            if var is None:
                 # Integer-feasible: new incumbent.
                 if res.objective < incumbent_obj - opts.gap:
                     incumbent_obj = res.objective
@@ -349,12 +345,8 @@ def _solve_milp_search(
                 plunge = None
                 continue
 
-            var = _select_branch_var(res.x, int_mask, opts.branching, pseudo, form.c)
             value = res.x[var]
             frac = value - math.floor(value)
-            # Rounding heuristic: try the nearest integer completion.
-            _try_rounding(form, res.x, int_mask, lp_solve, plunge, stats)
-
             down = _Node(bound=res.objective, tie=next(counter), depth=plunge.depth + 1,
                          lb=plunge.lb.copy(), ub=plunge.ub.copy(), basis=res.basis)
             down.ub[var] = math.floor(value)
@@ -364,7 +356,7 @@ def _solve_milp_search(
             if emitter is not None:
                 emitter.emit(
                     "branch", node=stats.nodes, depth=plunge.depth,
-                    var=int(var), frac=round(frac, 6), bound=res.objective,
+                    var=var, frac=round(frac, 6), bound=res.objective,
                 )
             _record_pseudocost(pseudo, var, frac, res.objective, down, up, lp_solve, stats)
 
@@ -375,16 +367,18 @@ def _solve_milp_search(
             else:
                 heapq.heappush(heap, down)
                 plunge = up
-        else:
-            if plunge is not None:
-                heapq.heappush(heap, plunge)
+        if plunge is not None:
+            heapq.heappush(heap, plunge)
 
         # Re-check incumbent-based pruning cheaply between plunges.
         if incumbent_x is not None and heap:
             best = heap[0].bound
             stats.best_bound = max(stats.best_bound, best)
             if incumbent_obj - best <= opts.gap * max(1.0, abs(incumbent_obj)):
+                hit_limit = False  # the bound closed the gap: proven optimal
                 break
+        if hit_limit:
+            break
 
     stats.wall_time = time.perf_counter() - start
     if emitter is not None:
@@ -410,36 +404,22 @@ def _solve_milp_search(
 # -- helpers -----------------------------------------------------------------
 
 
-def _most_fractional(x: np.ndarray, int_mask: np.ndarray) -> Optional[int]:
-    """Index of the integer variable farthest from integrality, or None."""
-    worst = None
-    worst_dist = _INT_TOL
-    for j in np.flatnonzero(int_mask):
-        dist = abs(x[j] - round(x[j]))
-        if dist > worst_dist:
-            worst_dist = dist
-            worst = int(j)
-    return worst
+def _branch_var(
+    x: np.ndarray, int_idx: np.ndarray, pseudo: _Pseudocosts
+) -> Optional[int]:
+    """The fractional integer variable with the highest pseudocost score.
 
+    None when every integer variable is integral within ``_INT_TOL``.
+    """
+    xi = x[int_idx]
+    fractional = int_idx[np.abs(xi - np.round(xi)) > _INT_TOL]
+    if not fractional.size:
+        return None
 
-def _select_branch_var(
-    x: np.ndarray,
-    int_mask: np.ndarray,
-    strategy: str,
-    pseudo: _Pseudocosts,
-    c: np.ndarray,
-) -> int:
-    fractional = [
-        int(j) for j in np.flatnonzero(int_mask) if abs(x[j] - round(x[j])) > _INT_TOL
-    ]
-    if strategy == "pseudocost":
-        def score(j: int) -> float:
-            frac = x[j] - math.floor(x[j])
-            return pseudo.score(j, frac)
+    def score(j: int) -> float:
+        return pseudo.score(j, x[j] - math.floor(x[j]))
 
-        return max(fractional, key=score)
-    # most_fractional
-    return max(fractional, key=lambda j: abs(x[j] - round(x[j])))
+    return int(max(fractional, key=score))
 
 
 def _snap(x: np.ndarray, int_mask: np.ndarray) -> np.ndarray:
@@ -465,52 +445,3 @@ def _record_pseudocost(pseudo, var, frac, parent_obj, down, up, lp_solve, stats)
             child.bound = max(child.bound, res.objective)
         else:
             pseudo.update(var, direction, f, 1e6)
-
-
-def _try_rounding(form, x, int_mask, lp_solve, node, stats) -> None:
-    """Placeholder hook kept cheap: full rounding repair is done by plunging.
-
-    Plunging with floor/ceil branching already acts as a diving heuristic,
-    so an extra LP-based rounding repair rarely pays off at our scales; the
-    hook exists so ablation benchmarks can substitute richer heuristics.
-    """
-    return None
-
-
-def _scipy_lp(
-    form: MatrixForm, dense_a: np.ndarray, lb: np.ndarray, ub: np.ndarray
-) -> LPResult:
-    """LP relaxation via scipy's HiGHS simplex/IPM."""
-    from scipy.optimize import linprog
-
-    a_ub_rows = []
-    b_ub = []
-    a_eq_rows = []
-    b_eq = []
-    for i, sense in enumerate(form.senses):
-        if sense == "<=":
-            a_ub_rows.append(dense_a[i])
-            b_ub.append(form.b[i])
-        elif sense == ">=":
-            a_ub_rows.append(-dense_a[i])
-            b_ub.append(-form.b[i])
-        else:
-            a_eq_rows.append(dense_a[i])
-            b_eq.append(form.b[i])
-    res = linprog(
-        form.c,
-        A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq_rows) if a_eq_rows else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=list(zip(lb, ub)),
-        method="highs",
-    )
-    iterations = int(res.nit) if hasattr(res, "nit") else 0
-    if res.status == 0:
-        return LPResult(LPStatus.OPTIMAL, float(res.fun), np.asarray(res.x), iterations)
-    if res.status == 2:
-        return LPResult(LPStatus.INFEASIBLE, math.nan, None, iterations)
-    if res.status == 3:
-        return LPResult(LPStatus.UNBOUNDED, math.nan, None, iterations)
-    return LPResult(LPStatus.ITERATION_LIMIT, math.nan, None, iterations)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -112,16 +112,14 @@ def solve(
     backend: str = "auto",
     time_limit: Optional[float] = None,
     mip_rel_gap: Optional[float] = None,
-    use_presolve: bool = False,
     options: Optional[BnBOptions] = None,
     warm: Optional[WarmStartContext] = None,
     tuning: Optional[AutoTuning] = None,
 ) -> SolveResult:
     """Solve ``model`` and return a :class:`SolveResult`.
 
-    ``use_presolve`` applies the safe reductions of
-    :mod:`repro.ilp.presolve` before dispatching (HiGHS presolves
-    internally anyway; this mainly helps the from-scratch backend).
+    ``time_limit`` and ``mip_rel_gap`` override the matching fields of
+    ``options`` for this call only; the caller's object is not modified.
 
     ``warm`` carries state across repeated solves of a growing model
     (ILP-MR's loop): the export is incremental, and with the ``bnb``
@@ -152,27 +150,13 @@ def solve(
         big = knobs.prefers_scipy(form.num_vars, form.num_constrs)
         chosen = "scipy" if big and scipy_milp_available() else "bnb"
 
-    if chosen == "scipy":
-        def run(f):
-            return solve_with_scipy(f, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
-    elif chosen == "bnb":
-        opts = options or BnBOptions()
+    if chosen == "bnb":
+        opts = replace(options or BnBOptions())
         if time_limit is not None:
             opts.time_limit = time_limit
         if mip_rel_gap is not None:
             opts.gap = mip_rel_gap
-
-        def run(f):
-            # Presolve rewrites the form, so the carried basis/incumbent
-            # only apply to the untransformed export.
-            if warm is not None and f is form:
-                outcome = solve_milp(
-                    f, opts, incumbent=warm.incumbent, basis=warm.basis
-                )
-                warm.absorb(outcome)
-                return outcome
-            return solve_milp(f, opts)
-    else:
+    elif chosen != "scipy":
         raise ValueError(f"unknown backend {backend!r}")
 
     with obs.span(
@@ -181,12 +165,17 @@ def solve(
         variables=form.num_vars,
         constraints=form.num_constrs,
     ) as s:
-        if use_presolve:
-            from .presolve import apply_presolve
-
-            outcome = apply_presolve(form, run)
+        if chosen == "scipy":
+            outcome = solve_with_scipy(
+                form, time_limit=time_limit, mip_rel_gap=mip_rel_gap
+            )
+        elif warm is not None:
+            outcome = solve_milp(
+                form, opts, incumbent=warm.incumbent, basis=warm.basis
+            )
+            warm.absorb(outcome)
         else:
-            outcome = run(form)
+            outcome = solve_milp(form, opts)
         s.set_attr("status", outcome.status)
 
     wall = time.perf_counter() - start

@@ -75,6 +75,21 @@ class TestBnBLimits:
             }
             assert m.violated_constraints(values) == []
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_node_limit_is_never_exceeded(self, n):
+        # The limits are checked before every node LP, so a depth-first
+        # plunge cannot run past them.
+        out = solve_milp(hard_model(20).to_matrix_form(), BnBOptions(node_limit=n))
+        assert out.status == "limit"
+        assert out.stats.nodes == n
+
+    def test_solve_leaves_caller_options_unchanged(self):
+        opts = BnBOptions()
+        hard_model(12).solve(
+            backend="bnb", options=opts, time_limit=5.0, mip_rel_gap=0.5
+        )
+        assert opts == BnBOptions()
+
     def test_plunge_depth_one(self):
         m = hard_model(12)
         out = solve_milp(m.to_matrix_form(), BnBOptions(plunge_depth=1))

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import BnBOptions, Model, lin_sum, solve_milp
+from repro.ilp.branch_and_bound import _branch_var, _Pseudocosts
 
 
-def _solve_both(m: Model):
-    ours = m.solve(backend="bnb")
+def _solve_both(m: Model, warm_start: bool = True):
+    ours = m.solve(backend="bnb", options=BnBOptions(warm_start=warm_start))
     ref = m.solve(backend="scipy")
     return ours, ref
 
@@ -98,28 +99,6 @@ class TestKnownInstances:
         out = solve_milp(m.to_matrix_form(), BnBOptions(node_limit=1))
         assert out.status in ("limit", "optimal")
 
-    def test_branching_strategies_agree(self):
-        m = Model()
-        xs = [m.add_binary(f"x{i}") for i in range(8)]
-        m.add_constr(lin_sum(xs) >= 4)
-        m.add_constr(lin_sum((i % 3) * x for i, x in enumerate(xs)) <= 5)
-        m.minimize(lin_sum((i + 1) * x for i, x in enumerate(xs)))
-        objs = []
-        for branching in ("pseudocost", "most_fractional"):
-            out = solve_milp(m.to_matrix_form(), BnBOptions(branching=branching))
-            assert out.status == "optimal"
-            objs.append(out.objective)
-        assert objs[0] == pytest.approx(objs[1])
-
-    def test_scipy_lp_engine_matches(self):
-        m = Model()
-        xs = [m.add_binary(f"x{i}") for i in range(6)]
-        m.add_constr(lin_sum(xs) >= 2)
-        m.minimize(lin_sum((i + 1) * x for i, x in enumerate(xs)))
-        out = solve_milp(m.to_matrix_form(), BnBOptions(lp_engine="scipy"))
-        assert out.status == "optimal"
-        assert out.objective == pytest.approx(3.0)
-
 
 @st.composite
 def random_milp(draw):
@@ -132,31 +111,69 @@ def random_milp(draw):
     return c, a, b
 
 
-@given(random_milp())
+@pytest.mark.parametrize("warm_start", [True, False])
+@given(problem=random_milp())
 @settings(max_examples=60, deadline=None)
-def test_bnb_matches_highs_on_random_binaries(problem):
+def test_bnb_matches_highs_on_random_binaries(problem, warm_start):
     c, a, b = problem
     m = Model()
     xs = [m.add_binary(f"x{i}") for i in range(len(c))]
     for row, rhs in zip(a, b):
         m.add_constr(lin_sum(coef * x for coef, x in zip(row, xs)) <= rhs)
     m.minimize(lin_sum(coef * x for coef, x in zip(c, xs)))
-    ours, ref = _solve_both(m)
+    ours, ref = _solve_both(m, warm_start)
     assert ours.is_optimal and ref.is_optimal
     assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
     # Our incumbent must satisfy every constraint exactly.
     assert m.violated_constraints(ours.values) == []
 
 
-@given(random_milp())
+@pytest.mark.parametrize("warm_start", [True, False])
+@given(problem=random_milp())
 @settings(max_examples=30, deadline=None)
-def test_bnb_matches_highs_on_random_general_integers(problem):
+def test_bnb_matches_highs_on_random_general_integers(problem, warm_start):
     c, a, b = problem
     m = Model()
     xs = [m.add_integer(f"x{i}", ub=3) for i in range(len(c))]
     for row, rhs in zip(a, b):
         m.add_constr(lin_sum(coef * x for coef, x in zip(row, xs)) <= rhs)
     m.minimize(lin_sum(coef * x for coef, x in zip(c, xs)))
-    ours, ref = _solve_both(m)
+    ours, ref = _solve_both(m, warm_start)
     assert ours.is_optimal and ref.is_optimal
     assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
+
+
+def _branch_var_loop(x, int_mask, pseudo):
+    """Reference: a per-variable loop over the integer columns."""
+    fractional = [
+        int(j) for j in np.flatnonzero(int_mask) if abs(x[j] - round(x[j])) > 1e-6
+    ]
+    if not fractional:
+        return None
+    return max(fractional, key=lambda j: pseudo.score(j, x[j] - math.floor(x[j])))
+
+
+@given(
+    x=st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.5, 0.25, 3e-7, 1 - 3e-7, 1e-5])
+        | st.floats(-4, 4),
+        min_size=1, max_size=10,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_branch_var_matches_loop_reference(x, data):
+    x = np.array(x)
+    int_mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(x),
+                                           max_size=len(x))))
+    pseudo = _Pseudocosts(len(x))
+    for _ in range(data.draw(st.integers(0, 6))):
+        pseudo.update(
+            data.draw(st.integers(0, len(x) - 1)),
+            data.draw(st.sampled_from(["up", "down"])),
+            data.draw(st.floats(0.01, 0.99)),
+            data.draw(st.sampled_from([0.0, 1.0, 2.5, 1e6])),
+        )
+    assert _branch_var(x, np.flatnonzero(int_mask), pseudo) == _branch_var_loop(
+        x, int_mask, pseudo
+    )
