@@ -229,10 +229,9 @@ def _warm_lp_row(gens: int) -> dict:
         build_eps_template(num_generators=gens), reliability_target=1e-4
     )
     form = spec.build_encoder().model.to_matrix_form()
-    a = form.dense_A()
     start = time.perf_counter()
     base = solve_lp(
-        form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True
+        form.c, form.A, form.senses, form.b, form.lb, form.ub, want_basis=True
     )
     cold_first = time.perf_counter() - start
 
@@ -246,11 +245,11 @@ def _warm_lp_row(gens: int) -> dict:
     ub[j] = 0.0
 
     start = time.perf_counter()
-    cold = solve_lp(form.c, a, form.senses, form.b, lb, ub)
+    cold = solve_lp(form.c, form.A, form.senses, form.b, lb, ub)
     cold_seconds = time.perf_counter() - start
     start = time.perf_counter()
     warm = solve_lp(
-        form.c, a, form.senses, form.b, lb, ub, warm_basis=base.basis
+        form.c, form.A, form.senses, form.b, lb, ub, warm_basis=base.basis
     )
     warm_seconds = time.perf_counter() - start
     return {

@@ -4,7 +4,8 @@ This module supplies the optimizer role that CPLEX played in the paper's
 ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
 
 * each node solves an LP relaxation with the from-scratch bounded simplex
-  of :mod:`repro.ilp.simplex`;
+  of :mod:`repro.ilp.simplex`, over one sparse equality form built per
+  search;
 * every node inherits its parent's optimal basis and re-optimizes with the
   dual simplex — branching only tightens one variable bound, which leaves
   the parent basis dual feasible — so child LPs skip phase 1 entirely
@@ -20,6 +21,10 @@ ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
 The solver is exact: on termination without hitting a limit, the incumbent
 is optimal within the requested gap. The time and node limits are checked
 before every node LP, so a limited search overshoots by at most one node.
+A node LP left unresolved (iteration cap or numerical failure) is
+re-solved cold once; if it is still unresolved, its subtree stays open
+with its inherited bound and the search ends in ``limit``, never in
+``infeasible`` or ``optimal``.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .. import obs
 from .model import MatrixForm
 from .search_events import SearchEventEmitter
-from .simplex import LPBasis, LPResult, LPStatus, solve_lp
+from .simplex import EqualityForm, LPBasis, LPResult, LPStatus, solve_lp
 
 __all__ = ["BnBOptions", "BnBStats", "solve_milp", "MilpOutcome", "exit_gap"]
 
@@ -230,21 +235,27 @@ def _solve_milp_search(
     int_idx = np.flatnonzero(int_mask)
     counter = itertools.count()
 
-    dense_a = form.dense_A()  # B&B is dispatched to small models only
+    lp_form = EqualityForm(form.A, form.senses)  # shared by every node LP
 
     def lp_solve(
         lb: np.ndarray, ub: np.ndarray, basis: Optional[LPBasis] = None
     ) -> LPResult:
-        res = solve_lp(
-            form.c, dense_a, form.senses, form.b, lb, ub,
-            warm_basis=basis if opts.warm_start else None,
-            want_basis=opts.warm_start,
-        )
-        if res.warm_started:
-            stats.warm_lp_solves += 1
-        else:
-            stats.cold_lp_solves += 1
-        stats.dual_pivots += res.dual_pivots
+        res = None
+        # An unresolved LP (iteration cap or numerical failure) says nothing
+        # about its node: re-solve it cold once before giving up on it.
+        for start in (basis if opts.warm_start else None, None):
+            res = solve_lp(
+                form.c, lp_form, form.senses, form.b, lb, ub,
+                warm_basis=start, want_basis=opts.warm_start,
+            )
+            if res.warm_started:
+                stats.warm_lp_solves += 1
+            else:
+                stats.cold_lp_solves += 1
+            stats.dual_pivots += res.dual_pivots
+            stats.lp_iterations += res.iterations
+            if res.status is not LPStatus.ITERATION_LIMIT:
+                break
         return res
 
     root = _Node(bound=-math.inf, tie=next(counter), depth=0,
@@ -262,6 +273,9 @@ def _solve_milp_search(
     pseudo = _Pseudocosts(n)
     seed_active = stats.seeded_incumbent
     hit_limit = False
+    # Bounds of nodes whose LP stayed unresolved: their subtrees are never
+    # explored, so the search can end in a limit at best.
+    unresolved: List[float] = []
     root_status: Optional[LPStatus] = None
     root_basis: Optional[LPBasis] = None
 
@@ -289,7 +303,6 @@ def _solve_milp_search(
                 break
             stats.nodes += 1
             res = lp_solve(plunge.lb, plunge.ub, plunge.basis)
-            stats.lp_iterations += res.iterations
             if emitter is not None:
                 emitter.emit(
                     "open", node=stats.nodes, depth=plunge.depth,
@@ -305,6 +318,15 @@ def _solve_milp_search(
                                       incumbents=stats.incumbent_updates,
                                       status="unbounded")
                     return MilpOutcome("unbounded", -math.inf, None, stats)
+                plunge = None
+                continue
+            if res.status is LPStatus.ITERATION_LIMIT:
+                unresolved.append(plunge.bound)
+                pruned_nodes += 1
+                if emitter is not None:
+                    emitter.emit("prune", reason="unresolved", node=stats.nodes,
+                                 depth=plunge.depth, bound=plunge.bound,
+                                 incumbent=incumbent_obj)
                 plunge = None
                 continue
             if not res.is_optimal or res.objective >= incumbent_obj - opts.gap:
@@ -358,7 +380,7 @@ def _solve_milp_search(
                     "branch", node=stats.nodes, depth=plunge.depth,
                     var=var, frac=round(frac, 6), bound=res.objective,
                 )
-            _record_pseudocost(pseudo, var, frac, res.objective, down, up, lp_solve, stats)
+            _record_pseudocost(pseudo, var, frac, res.objective, down, up, lp_solve)
 
             # Continue the plunge in the more promising child, queue the other.
             if frac <= 0.5:
@@ -372,7 +394,7 @@ def _solve_milp_search(
 
         # Re-check incumbent-based pruning cheaply between plunges.
         if incumbent_x is not None and heap:
-            best = heap[0].bound
+            best = min(heap[0].bound, min(unresolved, default=math.inf))
             stats.best_bound = max(stats.best_bound, best)
             if incumbent_obj - best <= opts.gap * max(1.0, abs(incumbent_obj)):
                 hit_limit = False  # the bound closed the gap: proven optimal
@@ -390,13 +412,13 @@ def _solve_milp_search(
             wall_time=round(stats.wall_time, 9),
         )
     if incumbent_x is None:
-        if hit_limit:
+        if hit_limit or unresolved:
             return MilpOutcome("limit", math.inf, None, stats, root_basis=root_basis)
         if root_status is LPStatus.UNBOUNDED:
             return MilpOutcome("unbounded", -math.inf, None, stats,
                                root_basis=root_basis)
         return MilpOutcome("infeasible", math.inf, None, stats, root_basis=root_basis)
-    status = "limit" if hit_limit and heap else "optimal"
+    status = "limit" if (hit_limit and heap) or unresolved else "optimal"
     return MilpOutcome(status, incumbent_obj, incumbent_x, stats,
                        root_basis=root_basis)
 
@@ -428,7 +450,7 @@ def _snap(x: np.ndarray, int_mask: np.ndarray) -> np.ndarray:
     return snapped
 
 
-def _record_pseudocost(pseudo, var, frac, parent_obj, down, up, lp_solve, stats) -> None:
+def _record_pseudocost(pseudo, var, frac, parent_obj, down, up, lp_solve) -> None:
     """Cheap pseudocost seeding: note the LP degradation of each child once.
 
     Children LPs are solved lazily during the search anyway; here we only
@@ -439,7 +461,6 @@ def _record_pseudocost(pseudo, var, frac, parent_obj, down, up, lp_solve, stats)
         return
     for child, direction, f in ((down, "down", frac), (up, "up", 1.0 - frac)):
         res = lp_solve(child.lb, child.ub, child.basis)
-        stats.lp_iterations += res.iterations
         if res.is_optimal:
             pseudo.update(var, direction, f, max(0.0, res.objective - parent_obj))
             child.bound = max(child.bound, res.objective)

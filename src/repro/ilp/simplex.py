@@ -1,4 +1,4 @@
-"""Bounded-variable revised simplex with a factorized, reusable basis.
+"""Bounded-variable revised simplex over a sparse, factorized basis.
 
 This is the from-scratch LP engine that backs the branch-and-bound MILP
 solver in :mod:`repro.ilp.branch_and_bound` (the role CPLEX's LP relaxation
@@ -6,13 +6,19 @@ played in the paper's experiments). It implements the revised primal simplex
 method with explicit variable bounds, a two-phase cold start, and — the
 pieces that make CEGIS-style re-solving cheap — a *warm* start path:
 
-* the basis is LU-factorized once (``scipy.linalg.lu_factor`` when scipy is
-  importable, a pure-numpy partial-pivot LU otherwise) and maintained across
-  pivots with product-form *eta* updates; every solve of ``B x = b`` (FTRAN)
-  or ``B^T y = c`` (BTRAN) runs against the factorization, so a pivot costs
-  O(m^2) instead of the O(m^3) refactorize-per-pivot of the original
-  implementation. The factorization is rebuilt every
-  ``_REFACTOR_EVERY`` pivots to bound eta-file growth and drift;
+* the constraint matrix stays sparse from :attr:`MatrixForm.A` down to the
+  basis: ``[A | slack | artificial]`` is one CSC matrix (:class:`EqualityForm`,
+  built once per branch-and-bound search), its transpose is a CSR view of
+  the same arrays, so pricing a row (reduced costs, the dual pivot row) is
+  one sparse product and an entering column is scattered straight from the
+  CSC arrays;
+* the basis columns are LU-factorized with SuperLU
+  (``scipy.sparse.linalg.splu``) and maintained across pivots with
+  product-form *eta* updates; every solve of ``B x = b`` (FTRAN) or
+  ``B^T y = c`` (BTRAN) runs against the factors. The factorization is
+  rebuilt every ``_REFACTOR_EVERY`` pivots to bound eta-file growth and
+  drift. No dense BLAS runs on the pivot path, so the pivot sequence does
+  not depend on the BLAS thread count;
 * :func:`solve_lp` accepts a starting :class:`LPBasis` and re-optimizes from
   it with a bounded-variable **dual simplex** — the textbook move after
   tightening bounds (branch-and-bound children) or appending rows (learned
@@ -25,7 +31,9 @@ pieces that make CEGIS-style re-solving cheap — a *warm* start path:
   degenerate instances.
 
 Every fallback is graceful: a stale/singular/dual-infeasible warm basis
-degrades to the cold two-phase start, never to a wrong answer.
+degrades to the cold two-phase start, and a numerical failure the cold
+start cannot get past is reported as ``ITERATION_LIMIT``, never as an
+infeasibility.
 """
 
 from __future__ import annotations
@@ -33,21 +41,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .. import obs
 
-try:  # pragma: no cover - scipy is a declared dependency, but stay runnable
-    from scipy.linalg import lu_factor as _sp_lu_factor
-    from scipy.linalg import lu_solve as _sp_lu_solve
-
-    _HAVE_SCIPY_LU = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY_LU = False
-
-__all__ = ["LPStatus", "LPResult", "LPBasis", "NO_SLACK", "solve_lp", "bland_cutover"]
+__all__ = [
+    "LPStatus", "LPResult", "LPBasis", "EqualityForm", "NO_SLACK", "solve_lp",
+    "bland_cutover",
+]
 
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
@@ -120,9 +125,47 @@ class LPResult:
         return self.status is LPStatus.OPTIMAL
 
 
+class EqualityForm:
+    """``A x (senses) b`` as the CSC matrix ``[A | slack | artificial]``.
+
+    Column ``n + k`` is the slack of row ``slack_rows[k]`` (``+1`` for
+    ``<=``, ``-1`` for ``>=``; equality rows have none), and the last ``m``
+    columns are one artificial per row. ``at`` is the CSR transpose over
+    the same arrays. Branch and bound builds one per search and passes it
+    to :func:`solve_lp` as ``a`` for every node LP; a cold start rewrites
+    the artificial signs in place, so one form serves one solve at a time.
+    """
+
+    def __init__(self, a, senses: Sequence[str]) -> None:
+        a = sparse.csc_matrix(a, dtype=float)
+        a.sum_duplicates()
+        m, n = a.shape
+        slack_rows = np.array(
+            [i for i, s in enumerate(senses) if s != "=="], dtype=np.int64
+        )
+        slack_signs = np.array(
+            [1.0 if senses[i] == "<=" else -1.0 for i in slack_rows]
+        )
+        n_slack = len(slack_rows)
+        extra = np.arange(1, n_slack + m + 1)
+        self.a = sparse.csc_matrix(
+            (
+                np.concatenate([a.data, slack_signs, np.ones(m)]),
+                np.concatenate([a.indices, slack_rows, np.arange(m)]),
+                np.concatenate([a.indptr, a.nnz + extra]),
+            ),
+            shape=(m, n + n_slack + m),
+        )
+        self.at = self.a.T
+        self.m, self.n = m, n
+        self.slack_rows = slack_rows
+        #: Positions of the artificial columns' values in ``a.data``.
+        self.artificial_data = slice(a.nnz + n_slack, a.nnz + n_slack + m)
+
+
 def solve_lp(
     c: np.ndarray,
-    a: np.ndarray,
+    a: Union[np.ndarray, "sparse.spmatrix", EqualityForm],
     senses: Sequence[str],
     b: np.ndarray,
     lb: np.ndarray,
@@ -133,8 +176,10 @@ def solve_lp(
 ) -> LPResult:
     """Minimize ``c @ x`` subject to ``A x (senses) b`` and ``lb <= x <= ub``.
 
-    Parameters mirror :class:`repro.ilp.model.MatrixForm`. Bounds may be
-    infinite; rows may mix ``<=``, ``>=`` and ``==``.
+    Parameters mirror :class:`repro.ilp.model.MatrixForm`. ``a`` may be
+    dense, scipy-sparse, or an :class:`EqualityForm` already built from
+    ``(A, senses)``. Bounds may be infinite; rows may mix ``<=``, ``>=``
+    and ``==``.
 
     ``warm_basis`` (from a previous :class:`LPResult` with ``want_basis``)
     re-optimizes via dual simplex instead of the two-phase cold start; it is
@@ -143,46 +188,34 @@ def solve_lp(
     rows/columns. An unusable basis silently falls back to the cold start.
     """
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lb = np.asarray(lb, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    m, n = a.shape if a.size else (len(b), len(c))
-    if m == 0:
+    if len(b) == 0:
         # Pure bound-constrained minimization.
         x = _bound_only_solution(c, lb, ub)
         if x is None:
             return LPResult(LPStatus.UNBOUNDED, -math.inf, None, 0)
         return LPResult(LPStatus.OPTIMAL, float(c @ x), x, 0)
-
-    # -- convert to equality form with slack columns ------------------------
-    slack_rows = [i for i, s in enumerate(senses) if s != "=="]
-    n_slack = len(slack_rows)
-    a_eq = np.zeros((m, n + n_slack))
-    a_eq[:, :n] = a
-    lb_full = np.concatenate([lb, np.zeros(n_slack)])
-    ub_full = np.concatenate([ub, np.full(n_slack, math.inf)])
-    for k, row in enumerate(slack_rows):
-        a_eq[row, n + k] = 1.0 if senses[row] == "<=" else -1.0
-    c_full = np.concatenate([c, np.zeros(n_slack)])
+    if not isinstance(a, EqualityForm):
+        a = EqualityForm(a, senses)
+    n, m = a.n, a.m
 
     warm_flags = (
-        _flags_from_basis(warm_basis, n, m, slack_rows)
+        _flags_from_basis(warm_basis, n, m, a.slack_rows)
         if warm_basis is not None
         else None
     )
-
-    solver = _BoundedSimplex(a_eq, b.copy(), lb_full, ub_full, max_iterations)
-    status, iterations = solver.solve(c_full, warm_flags=warm_flags)
+    solver = _BoundedSimplex(a, b.copy(), lb, ub, max_iterations)
+    status, iterations = solver.solve(c, warm_flags=warm_flags)
     _record_lp_observations(solver)
     if status is not LPStatus.OPTIMAL:
         return LPResult(
             status, math.nan, None, iterations,
             warm_started=solver.warm_started, dual_pivots=solver.dual_pivots,
         )
-    x_full = solver.solution()
-    x = x_full[:n]
-    basis = solver.export_basis(n, m, slack_rows) if want_basis else None
+    x = solver.solution()[:n]
+    basis = solver.export_basis(n, m, a.slack_rows) if want_basis else None
     return LPResult(
         LPStatus.OPTIMAL,
         float(c @ x),
@@ -212,20 +245,16 @@ def _record_lp_observations(solver: "_BoundedSimplex") -> None:
 
 
 def _flags_from_basis(
-    basis: LPBasis, n: int, m: int, slack_rows: List[int]
+    basis: LPBasis, n: int, m: int, slack_rows: np.ndarray
 ) -> Optional[np.ndarray]:
     """Expand an :class:`LPBasis` into per-column flags, or None if stale."""
     if len(basis.var_status) != n or len(basis.row_status) != m:
         return None
-    flags = np.empty(n + len(slack_rows), dtype=np.int8)
-    flags[:n] = basis.var_status
-    for k, row in enumerate(slack_rows):
-        status = basis.row_status[row]
-        if status == NO_SLACK:
-            return None  # basis predates this row and was not extended
-        flags[n + k] = status
+    slack_status = basis.row_status[slack_rows]
+    if np.any(slack_status == NO_SLACK):
+        return None  # basis predates a row and was not extended
     # Equality rows carry no slack; any non-sentinel status there is ignored.
-    return flags
+    return np.concatenate([basis.var_status, slack_status]).astype(np.int8)
 
 
 def _bound_only_solution(
@@ -246,59 +275,12 @@ def _bound_only_solution(
     return x
 
 
-# -- LU kernels (scipy when available, pure numpy otherwise) -----------------
-
-
-def _np_lu_factor(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Partial-pivot LU compatible with :func:`_np_lu_solve` (getrf layout)."""
-    lu = a.copy()
-    m = lu.shape[0]
-    piv = np.arange(m)
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        piv[k] = p
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        pivot = lu[k, k]
-        if pivot != 0.0:
-            lu[k + 1 :, k] /= pivot
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, piv
-
-
-def _np_lu_solve(
-    lu_piv: Tuple[np.ndarray, np.ndarray], b: np.ndarray, trans: int = 0
-) -> np.ndarray:
-    lu, piv = lu_piv
-    m = lu.shape[0]
-    x = np.asarray(b, dtype=float).copy()
-    if trans == 0:
-        for k in range(m):  # apply row swaps: P b
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-        for k in range(1, m):  # L y = P b (unit diagonal)
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(m - 1, -1, -1):  # U x = y
-            x[k] = (x[k] - lu[k, k + 1 :] @ x[k + 1 :]) / lu[k, k]
-    else:
-        for k in range(m):  # U^T y = b
-            x[k] = (x[k] - lu[:k, k] @ x[:k]) / lu[k, k]
-        for k in range(m - 1, -1, -1):  # L^T z = y
-            x[k] -= lu[k + 1 :, k] @ x[k + 1 :]
-        for k in range(m - 1, -1, -1):  # P^T x = z
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-    return x
-
-
 class _SingularBasis(Exception):
     pass
 
 
 class _BasisFactors:
-    """LU factors of the basis matrix plus a product-form eta file.
+    """SuperLU factors of the basis matrix plus a product-form eta file.
 
     After a pivot replacing basic position ``pos`` with a column whose FTRAN
     image is ``alpha`` (= B^-1 a_entering), the inverse is updated as
@@ -308,23 +290,16 @@ class _BasisFactors:
     the LU back-solve.
     """
 
-    def __init__(self, basis_matrix: np.ndarray) -> None:
-        self.m = basis_matrix.shape[0]
-        if _HAVE_SCIPY_LU:
-            self._lu = _sp_lu_factor(basis_matrix, check_finite=False)
-            diag = np.abs(np.diag(self._lu[0]))
-        else:
-            self._lu = _np_lu_factor(basis_matrix)
-            diag = np.abs(np.diag(self._lu[0]))
+    def __init__(self, basis_matrix: "sparse.csc_matrix") -> None:
+        try:
+            self._lu = splu(basis_matrix)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise _SingularBasis from exc
+        diag = np.abs(self._lu.U.diagonal())
         scale = diag.max(initial=0.0)
         if scale == 0.0 or diag.min() < _SINGULAR_TOL * max(1.0, scale):
             raise _SingularBasis
         self.etas: List[Tuple[int, np.ndarray]] = []
-
-    def _lu_solve(self, rhs: np.ndarray, trans: int) -> np.ndarray:
-        if _HAVE_SCIPY_LU:
-            return _sp_lu_solve(self._lu, rhs, trans=trans, check_finite=False)
-        return _np_lu_solve(self._lu, rhs, trans=trans)
 
     @property
     def eta_len(self) -> int:
@@ -336,7 +311,7 @@ class _BasisFactors:
 
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs``."""
-        x = self._lu_solve(rhs, trans=0)
+        x = self._lu.solve(rhs)
         for pos, eta in self.etas:
             t = x[pos]
             if t != 0.0:
@@ -349,7 +324,7 @@ class _BasisFactors:
         y = np.asarray(rhs, dtype=float).copy()
         for pos, eta in reversed(self.etas):
             y[pos] = eta @ y
-        return self._lu_solve(y, trans=1)
+        return self._lu.solve(y, trans="T")
 
     def update(self, alpha: np.ndarray, pos: int) -> None:
         """Record the pivot replacing basic position ``pos``.
@@ -369,48 +344,35 @@ class _BasisFactors:
 class _BoundedSimplex:
     """Two-phase revised simplex over ``A x = b, lb <= x <= ub``.
 
-    The tableau columns are laid out as ``[structural+slack | artificial]``;
+    ``lb``/``ub`` bound the structural columns of ``form``; the tableau
+    columns are laid out as ``[structural+slack | artificial]``;
     the artificial block only participates in cold starts and is pinned at
     zero afterwards (and from the beginning on warm starts).
     """
 
     def __init__(
         self,
-        a: np.ndarray,
+        form: EqualityForm,
         b: np.ndarray,
         lb: np.ndarray,
         ub: np.ndarray,
         max_iterations: Optional[int],
     ) -> None:
-        self.m, self.n = a.shape
+        self.a, self.at = form.a, form.at
+        self._artificial_data = form.artificial_data
+        self.m = form.m
+        self.n = self.a.shape[1] - self.m
         self.max_iterations = max_iterations or max(
             5000, _MAX_ITER_FACTOR * (self.m + self.n)
         )
-        # Start every structural variable at a finite bound (0 for free vars).
-        xn = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-        flags = np.where(
-            np.isfinite(lb), _AT_LOWER, np.where(np.isfinite(ub), _AT_UPPER, _AT_LOWER)
-        ).astype(np.int8)
-
-        residual = b - a @ xn
-        # One artificial per row, signed so its value is |residual| >= 0.
-        art_cols = np.zeros((self.m, self.m))
-        for i in range(self.m):
-            art_cols[i, i] = 1.0 if residual[i] >= 0 else -1.0
-        self.a = np.hstack([a, art_cols])
         self.b = b
-        self.lb = np.concatenate([lb, np.zeros(self.m)])
-        self.ub = np.concatenate([ub, np.full(self.m, math.inf)])
-        self.xn = np.concatenate([xn, np.abs(residual)])
-        self.status_flags = np.concatenate(
-            [flags, np.full(self.m, _BASIC, dtype=np.int8)]
-        )
-        self.basis: List[int] = list(range(self.n, self.n + self.m))
+        # Slacks are nonnegative; artificials too (pinned at 0 when unused).
+        added = self.n + self.m - form.n
+        self.lb = np.concatenate([lb, np.zeros(added)])
+        self.ub = np.concatenate([ub, np.full(added, math.inf)])
         self.n_total = self.n + self.m
         self.n_structural = self.n
 
-        self.factors: Optional[_BasisFactors] = None
-        self.xb: Optional[np.ndarray] = None
         self.warm_started = False
         self.refactorizations = 0
         self.dual_pivots = 0
@@ -420,7 +382,6 @@ class _BoundedSimplex:
     # -- main driver ---------------------------------------------------------
 
     def solve(self, c: np.ndarray, warm_flags: Optional[np.ndarray] = None):
-        iterations = 0
         if warm_flags is not None and self._install(warm_flags):
             self.warm_started = True
             outcome = self._warm_solve(c)
@@ -429,13 +390,12 @@ class _BoundedSimplex:
             # Warm start went nowhere (stale numerics); restart cold.
             self.warm_started = False
             self.dual_pivots = 0
-            self._reset_cold()
+        self._cold_start()
 
         # Phase 1: minimize sum of artificials.
         c1 = np.zeros(self.n_total)
         c1[self.n_structural :] = 1.0
-        status, it1 = self._primal(c1)
-        iterations += it1
+        status, iterations = self._primal(c1)
         if status is not LPStatus.OPTIMAL and status is not LPStatus.UNBOUNDED:
             return status, iterations
         phase1_obj = float(c1 @ self._values())
@@ -452,15 +412,16 @@ class _BoundedSimplex:
     def solution(self) -> np.ndarray:
         return self._values()[: self.n_structural]
 
-    def export_basis(self, n: int, m: int, slack_rows: List[int]) -> Optional[LPBasis]:
+    def export_basis(
+        self, n: int, m: int, slack_rows: np.ndarray
+    ) -> Optional[LPBasis]:
         """Snapshot the current basis, or None if an artificial is basic."""
         flags = self.status_flags
         if np.any(flags[self.n_structural :] == _BASIC):
             return None  # degenerate leftover: not a clean structural basis
         var_status = flags[:n].astype(np.int8).copy()
         row_status = np.full(m, NO_SLACK, dtype=np.int8)
-        for k, row in enumerate(slack_rows):
-            row_status[row] = flags[n + k]
+        row_status[slack_rows] = flags[n : self.n_structural]
         return LPBasis(var_status, row_status)
 
     # -- warm start ----------------------------------------------------------
@@ -499,24 +460,27 @@ class _BoundedSimplex:
         self._recompute_xb()
         return True
 
-    def _reset_cold(self) -> None:
-        """Restore the artificial starting basis after a failed warm start."""
+    def _cold_start(self) -> None:
+        """The artificial starting basis, every other column at a bound."""
         lb, ub = self.lb[: self.n], self.ub[: self.n]
+        # Start every structural variable at a finite bound (0 for free vars).
         xn = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
         flags = np.where(
             np.isfinite(lb), _AT_LOWER, np.where(np.isfinite(ub), _AT_UPPER, _AT_LOWER)
         ).astype(np.int8)
-        # The artificial column signs from __init__ match this residual
-        # (same starting point), so only their bounds need restoring.
-        residual = self.b - self.a[:, : self.n] @ xn
+        xn = np.concatenate([xn, np.zeros(self.m)])
+        residual = self.b - self.a @ xn
+        # One artificial per row, signed so its value is |residual| >= 0.
+        self.a.data[self._artificial_data] = np.where(residual >= 0, 1.0, -1.0)
         self.ub[self.n_structural :] = math.inf
-        self.xn = np.concatenate([xn, np.abs(residual)])
+        xn[self.n :] = np.abs(residual)
+        self.xn = xn
         self.status_flags = np.concatenate(
             [flags, np.full(self.m, _BASIC, dtype=np.int8)]
         )
-        self.basis = list(range(self.n, self.n + self.m))
-        self.factors = None
-        self.xb = None
+        self.basis: List[int] = list(range(self.n, self.n + self.m))
+        self.factors: Optional[_BasisFactors] = None
+        self.xb: Optional[np.ndarray] = None
 
     def _warm_solve(self, c: np.ndarray):
         """Dual (or primal phase-2) re-optimization from the installed basis.
@@ -530,16 +494,17 @@ class _BoundedSimplex:
             if status is LPStatus.OPTIMAL:
                 # Polish with primal phase 2 (usually 0 iterations): bound
                 # flips during the dual pass can leave tiny residuals.
-                status2, its2 = self._primal(c_full)
-                return status2, its + its2
-            if status is LPStatus.INFEASIBLE:
-                return LPStatus.INFEASIBLE, its
-            return None  # iteration cap / numerics: cold restart
-        if self._primal_feasible():
+                status, its2 = self._primal(c_full)
+                its += its2
+        elif self._primal_feasible():
             # Basis is primal feasible but not dual feasible (e.g. the
             # objective changed): plain phase 2, still no phase 1.
-            return self._primal(c_full)
-        return None
+            status, its = self._primal(c_full)
+        else:
+            return None
+        if status is LPStatus.ITERATION_LIMIT:
+            return None  # iteration cap / numerics: cold restart
+        return status, its
 
     def _full_cost(self, c: np.ndarray) -> np.ndarray:
         if len(c) == self.n_total:
@@ -566,6 +531,14 @@ class _BoundedSimplex:
         rhs = self.b - self.a @ nonbasic_contrib
         self.xb = self.factors.ftran(rhs)
 
+    def _column(self, j: int) -> np.ndarray:
+        """Column ``j`` of the tableau, scattered from the CSC arrays."""
+        a = self.a
+        start, stop = a.indptr[j], a.indptr[j + 1]
+        col = np.zeros(self.m)
+        col[a.indices[start:stop]] = a.data[start:stop]
+        return col
+
     def _values(self) -> np.ndarray:
         values = self.xn.copy()
         if self.xb is None:
@@ -575,7 +548,7 @@ class _BoundedSimplex:
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
         y = self.factors.btran(c[self.basis])
-        return c - y @ self.a
+        return c - self.at @ y
 
     def _dual_feasible(self, reduced: np.ndarray, tol: float = 1e-7) -> bool:
         flags = self.status_flags
@@ -601,24 +574,30 @@ class _BoundedSimplex:
     def _evict_artificials(self) -> None:
         """Pivot basic artificials (at value ~0) out of the basis when possible."""
         changed = False
+        structural = slice(0, self.n_structural)
         for pos in range(self.m):
-            var = self.basis[pos]
-            if var < self.n_structural:
+            if self.basis[pos] < self.n_structural:
                 continue
-            basis_matrix = self.a[:, self.basis]
             try:
-                binv_row = np.linalg.solve(basis_matrix.T, _unit(self.m, pos))
-            except np.linalg.LinAlgError:
+                self._ensure_factors()
+            except _SingularBasis:
+                break
+            # Row ``pos`` of B^-1 A: a structural nonbasic column with a
+            # nonzero element there can replace the artificial.
+            row = self.at @ self.factors.btran(_unit(self.m, pos))
+            candidates = np.flatnonzero(
+                (np.abs(row[structural]) > 1e-7)
+                & (self.status_flags[structural] != _BASIC)
+            )
+            if not candidates.size:
                 continue
-            # Find a structural nonbasic column with a nonzero pivot element.
-            for j in range(self.n_structural):
-                if self.status_flags[j] == _BASIC:
-                    continue
-                pivot = binv_row @ self.a[:, j]
-                if abs(pivot) > 1e-7:
-                    self._pivot(entering=j, leaving_pos=pos, t=0.0, entering_to=None)
-                    changed = True
-                    break
+            j = int(candidates[0])
+            try:
+                self.factors.update(self.factors.ftran(self._column(j)), pos)
+            except _SingularBasis:
+                self.factors = None
+            self._pivot(entering=j, leaving_pos=pos, t=0.0, entering_to=None)
+            changed = True
         if changed:
             self.factors = None
             self.xb = None
@@ -632,7 +611,7 @@ class _BoundedSimplex:
                 self._ensure_factors()
                 reduced = self._reduced_costs(c)
             except _SingularBasis:
-                return LPStatus.INFEASIBLE, iteration
+                return LPStatus.ITERATION_LIMIT, iteration
 
             use_bland = iteration > self._bland_after
             entering = self._price(reduced, use_bland)
@@ -646,7 +625,7 @@ class _BoundedSimplex:
                 direction = -1.0 if reduced[entering] > 0 else 1.0
             else:
                 direction = 1.0 if self.status_flags[entering] == _AT_LOWER else -1.0
-            col = self.factors.ftran(self.a[:, entering]) * direction
+            col = self.factors.ftran(self._column(entering)) * direction
 
             best_t, leaving_pos, leaving_to = self._ratio_test(
                 entering, col, use_bland
@@ -760,14 +739,13 @@ class _BoundedSimplex:
             to_lower = below[r] >= above[r]
 
             reduced = self._reduced_costs(c)
-            binv_row = self.factors.btran(_unit(self.m, r))
-            alpha = binv_row @ self.a
+            alpha = self.at @ self.factors.btran(_unit(self.m, r))
 
             entering = self._dual_ratio_test(reduced, alpha, to_lower)
             if entering is None:
                 return LPStatus.INFEASIBLE, iteration
 
-            alpha_q = self.factors.ftran(self.a[:, entering])
+            alpha_q = self.factors.ftran(self._column(entering))
             bound_r = lo[r] if to_lower else hi[r]
             step = (self.xb[r] - bound_r) / alpha[entering]
             self.xb -= step * alpha_q

@@ -5,12 +5,19 @@ over subsets ``T`` of the minimal path sets. Exponential in the number of
 path sets — the textbook method the paper's §II calls "exhaustive
 enumeration of failure cases" — kept as the simplest-possible oracle for
 cross-checking the cleverer engines on small instances.
+
+Subsets with the same union contribute the same product, so their signs
+are netted as integers first and the few distinct products are summed in
+exact rational arithmetic: summing the 2^k alternating float terms
+directly loses precision (4.6e-9 absolute at 21 path sets).
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
-from typing import FrozenSet, List, Sequence
+from typing import Dict, FrozenSet
 
 from .events import ReliabilityProblem
 from .pathsets import minimal_path_sets
@@ -30,17 +37,18 @@ def connectivity_probability_ie(problem: ReliabilityProblem) -> float:
             f"inclusion-exclusion oracle limited to {_MAX_PATHS} path sets, "
             f"got {len(paths)}; use the BDD or factoring engine"
         )
-    up = {n: 1.0 - problem.failure_prob(n) for s in paths for n in s}
-    total = 0.0
+    up = {n: Fraction(1.0 - problem.failure_prob(n)) for s in paths for n in s}
+    signs: Dict[FrozenSet[str], int] = {}
     for r in range(1, len(paths) + 1):
-        sign = 1.0 if r % 2 == 1 else -1.0
+        sign = 1 if r % 2 == 1 else -1
         for combo in combinations(paths, r):
             union: FrozenSet[str] = frozenset().union(*combo)
-            prob = 1.0
-            for node in union:
-                prob *= up[node]
-            total += sign * prob
-    return min(max(total, 0.0), 1.0)
+            signs[union] = signs.get(union, 0) + sign
+    total = sum(
+        count * math.prod(up[node] for node in union)
+        for union, count in signs.items() if count
+    )
+    return min(max(float(total), 0.0), 1.0)
 
 
 def failure_probability_ie(problem: ReliabilityProblem) -> float:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import BnBOptions, Model, lin_sum, solve_milp
+from repro.ilp import BnBOptions, LPResult, LPStatus, Model, lin_sum, solve_milp
+from repro.ilp import branch_and_bound
 from repro.ilp.branch_and_bound import _branch_var, _Pseudocosts
 
 
@@ -177,3 +178,48 @@ def test_branch_var_matches_loop_reference(x, data):
     assert _branch_var(x, np.flatnonzero(int_mask), pseudo) == _branch_var_loop(
         x, int_mask, pseudo
     )
+
+
+def _two_triangles() -> Model:
+    """Six binaries covering two triangles: LP bound 3.0, optimum 4.0."""
+    m = Model("two-triangles")
+    xs = [m.add_binary(f"x{i}") for i in range(6)]
+    for t in (0, 3):
+        a, b, c = xs[t], xs[t + 1], xs[t + 2]
+        m.add_constr(a + b >= 1)
+        m.add_constr(b + c >= 1)
+        m.add_constr(a + c >= 1)
+    m.minimize(lin_sum(xs))
+    return m
+
+
+class TestUnresolvedNodeLPs:
+    """A node LP that hits its iteration cap must not prune its subtree."""
+
+    @staticmethod
+    def _capped_solve_lp(monkeypatch, capped_calls):
+        real = branch_and_bound.solve_lp
+        calls = []
+
+        def solve_lp(*args, **kwargs):
+            calls.append(kwargs.get("warm_basis"))
+            if capped_calls is None or len(calls) in capped_calls:
+                return LPResult(LPStatus.ITERATION_LIMIT, math.nan, None, 7)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(branch_and_bound, "solve_lp", solve_lp)
+        return calls
+
+    def test_capped_root_lp_is_resolved_cold(self, monkeypatch):
+        calls = self._capped_solve_lp(monkeypatch, capped_calls={1})
+        res = _two_triangles().solve(backend="bnb")
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(4.0)
+        assert calls[1] is None  # the retry started cold
+
+    def test_unresolvable_lps_end_in_limit(self, monkeypatch):
+        self._capped_solve_lp(monkeypatch, capped_calls=None)
+        out = solve_milp(_two_triangles().to_matrix_form())
+        assert out.status == "limit"
+        assert out.x is None
+        assert out.stats.lp_iterations == 14  # both attempts are counted

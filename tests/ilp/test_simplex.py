@@ -196,3 +196,44 @@ class TestLimitsAndEdgeCases:
         )
         assert res.status is LPStatus.OPTIMAL
         assert res.objective == pytest.approx(-5.0)
+
+    def test_dense_and_sparse_matrices_agree(self):
+        from scipy import sparse
+
+        c = np.array([-1.0, -2.0, 0.5])
+        a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        args = (["<=", ">=", "=="], np.array([4.0, 1.0, 3.0]),
+                np.zeros(3), np.full(3, INF))
+        dense = solve_lp(c, a, *args)
+        sparse_res = solve_lp(c, sparse.csr_matrix(a), *args)
+        assert dense.status is sparse_res.status is LPStatus.OPTIMAL
+        assert dense.x == pytest.approx(sparse_res.x)
+        assert dense.iterations == sparse_res.iterations
+
+
+class TestNumericalFailures:
+    """A numerical failure is reported as unresolved, never as infeasible."""
+
+    def test_singular_refactorization_is_not_infeasible(self, monkeypatch):
+        from repro.ilp import simplex
+
+        real = simplex._BasisFactors
+        calls = []
+
+        def flaky(basis_matrix):
+            calls.append(basis_matrix)
+            if len(calls) == 1:
+                raise simplex._SingularBasis
+            return real(basis_matrix)
+
+        # min x + y  s.t.  x + y >= 1,  x - y <= 0.5  (optimum 1.0)
+        lp = ([1, 1], [[1, 1], [1, -1]], [">=", "<="], [1, 0.5],
+              [0, 0], [INF, INF])
+        monkeypatch.setattr(simplex, "_BasisFactors", flaky)
+        res = _solve(*lp)
+        assert calls, "the injected factorization was never reached"
+        assert res.status is LPStatus.ITERATION_LIMIT
+        monkeypatch.undo()
+        clean = _solve(*lp)
+        assert clean.status is LPStatus.OPTIMAL
+        assert clean.objective == pytest.approx(1.0)

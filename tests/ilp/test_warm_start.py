@@ -35,7 +35,7 @@ def eps_form(gens=2):
 class TestWarmLP:
     def test_resolve_same_problem_is_free(self):
         form = eps_form()
-        a = form.dense_A()
+        a = form.A
         base = solve_lp(
             form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True
         )
@@ -51,7 +51,7 @@ class TestWarmLP:
 
     def test_bound_tightening_reoptimizes_dually(self):
         form = eps_form()
-        a = form.dense_A()
+        a = form.A
         base = solve_lp(
             form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True
         )
@@ -76,7 +76,7 @@ class TestWarmLP:
 
     def test_stale_basis_falls_back_to_cold(self):
         form = eps_form()
-        a = form.dense_A()
+        a = form.A
         base = solve_lp(
             form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True
         )

@@ -213,6 +213,25 @@ class TestInclusionExclusionLimits:
 
         assert ie._MAX_PATHS >= 10  # sanity: oracle usable on small systems
 
+    def test_many_path_sets_sum_exactly(self):
+        # Three layers of three nodes, 21 minimal path sets: the 2^21
+        # alternating float terms summed directly read 0.10000000463568381.
+        g = nx.DiGraph()
+        for name in ["n0", "n1", "n2", "n4", "n5", "n6", "n7", "n8"]:
+            g.add_node(name, p=0.0)
+        g.add_node("n3", p=0.2)
+        g.add_node("T", p=0.1)
+        g.add_edges_from([
+            ("n0", "n4"), ("n0", "n5"), ("n1", "n3"), ("n1", "n4"),
+            ("n1", "n5"), ("n2", "n3"), ("n2", "n4"), ("n2", "n5"),
+            ("n3", "n6"), ("n3", "n7"), ("n3", "n8"), ("n4", "n6"),
+            ("n4", "n7"), ("n4", "n8"), ("n5", "n6"), ("n5", "n8"),
+            ("n6", "T"), ("n7", "T"), ("n8", "T"),
+        ])
+        prob = ReliabilityProblem(g, ("n0", "n1", "n2"), "T")
+        values = cross_check(prob, methods=ENGINES, tol=1e-12)
+        assert values["ie"] == pytest.approx(0.1, abs=1e-15)
+
 
 class TestCrossCheckFailureDetection:
     def test_cross_check_raises_on_disagreement(self):
