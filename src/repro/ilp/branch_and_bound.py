@@ -14,7 +14,9 @@ ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
   so bound pruning is active from node zero — ILP-MR passes the previous
   iteration's optimum when it is still feasible;
 * the fractional integer variable with the highest pseudocost score is
-  branched on;
+  branched on; the first branch on a variable solves both children to
+  seed its pseudocosts, and each child keeps that LP result, so opening
+  it later costs no second solve;
 * node selection is best-bound with depth-first plunging, which finds
   incumbents early while keeping the global dual bound tight.
 
@@ -100,6 +102,8 @@ class _Node:
     lb: np.ndarray = field(compare=False, default=None)
     ub: np.ndarray = field(compare=False, default=None)
     basis: Optional[LPBasis] = field(compare=False, default=None)
+    #: This node's LP result, when pseudocost seeding has already solved it.
+    lp: Optional[LPResult] = field(compare=False, default=None)
 
 
 class _Pseudocosts:
@@ -302,7 +306,9 @@ def _solve_milp_search(
                 hit_limit = True
                 break
             stats.nodes += 1
-            res = lp_solve(plunge.lb, plunge.ub, plunge.basis)
+            res = plunge.lp  # solved already if pseudocost seeding did
+            if res is None:
+                res = lp_solve(plunge.lb, plunge.ub, plunge.basis)
             if emitter is not None:
                 emitter.emit(
                     "open", node=stats.nodes, depth=plunge.depth,
@@ -453,14 +459,14 @@ def _snap(x: np.ndarray, int_mask: np.ndarray) -> np.ndarray:
 def _record_pseudocost(pseudo, var, frac, parent_obj, down, up, lp_solve) -> None:
     """Cheap pseudocost seeding: note the LP degradation of each child once.
 
-    Children LPs are solved lazily during the search anyway; here we only
-    record degradations for variables we have never branched on, using a
-    single LP per direction, to bootstrap the pseudocost scores.
+    For a variable never branched on before, both children's LPs are solved
+    here to bootstrap its pseudocost scores. Each child keeps its result
+    (``_Node.lp``), so opening it later costs no second solve.
     """
     if pseudo.up_count[var] or pseudo.down_count[var]:
         return
     for child, direction, f in ((down, "down", frac), (up, "up", 1.0 - frac)):
-        res = lp_solve(child.lb, child.ub, child.basis)
+        res = child.lp = lp_solve(child.lb, child.ub, child.basis)
         if res.is_optimal:
             pseudo.update(var, direction, f, max(0.0, res.objective - parent_obj))
             child.bound = max(child.bound, res.objective)

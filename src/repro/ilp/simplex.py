@@ -23,7 +23,9 @@ pieces that make CEGIS-style re-solving cheap — a *warm* start path:
   it with a bounded-variable **dual simplex** — the textbook move after
   tightening bounds (branch-and-bound children) or appending rows (learned
   interconnection constraints), both of which leave the parent basis dual
-  feasible. Warm solves skip phase 1 entirely;
+  feasible. Warm solves skip phase 1 entirely. The dual updates its
+  reduced costs from the pivot row it already holds and recomputes them
+  only after a refactorization, so a dual pivot prices one row, not two;
 * nonbasic variables rest at a finite bound; the ratio test supports the
   *bound flip* move required for bounded variables;
 * Dantzig pricing with an automatic switch to Bland's rule — scaled with
@@ -490,7 +492,7 @@ class _BoundedSimplex:
         c_full = self._full_cost(c)
         reduced = self._reduced_costs(c_full)
         if self._dual_feasible(reduced):
-            status, its = self._dual(c_full)
+            status, its = self._dual(c_full, reduced)
             if status is LPStatus.OPTIMAL:
                 # Polish with primal phase 2 (usually 0 iterations): bound
                 # flips during the dual pass can leave tiny residuals.
@@ -519,12 +521,15 @@ class _BoundedSimplex:
         self.factors = _BasisFactors(self.a[:, self.basis])
         self.refactorizations += 1
 
-    def _ensure_factors(self) -> None:
+    def _ensure_factors(self) -> bool:
+        """Refactorize if the factors are missing or stale; True if it did."""
         if self.factors is None or self.factors.stale:
             if self.factors is not None:
                 self.max_eta_len = max(self.max_eta_len, self.factors.eta_len)
             self._refactorize()
             self._recompute_xb()
+            return True
+        return False
 
     def _recompute_xb(self) -> None:
         nonbasic_contrib = np.where(self.status_flags == _BASIC, 0.0, self.xn)
@@ -714,8 +719,13 @@ class _BoundedSimplex:
 
     # -- dual simplex --------------------------------------------------------
 
-    def _dual(self, c: np.ndarray):
+    def _dual(self, c: np.ndarray, reduced: np.ndarray):
         """Bounded-variable dual simplex from a dual-feasible basis.
+
+        ``reduced`` holds the reduced costs of ``c`` for the installed basis.
+        Each pivot updates them from the pivot row; they are computed afresh
+        only after a refactorization, so their drift is bounded by the same
+        ``_REFACTOR_EVERY`` window as the eta file's.
 
         Pivots until the basics are back inside their bounds (OPTIMAL), no
         entering column exists (primal INFEASIBLE), or the iteration cap
@@ -724,7 +734,8 @@ class _BoundedSimplex:
         iteration = 0
         while iteration < self.max_iterations:
             try:
-                self._ensure_factors()
+                if self._ensure_factors():
+                    reduced = self._reduced_costs(c)
             except _SingularBasis:
                 return LPStatus.ITERATION_LIMIT, iteration
             basis = np.asarray(self.basis)
@@ -738,13 +749,14 @@ class _BoundedSimplex:
                 return LPStatus.OPTIMAL, iteration
             to_lower = below[r] >= above[r]
 
-            reduced = self._reduced_costs(c)
             alpha = self.at @ self.factors.btran(_unit(self.m, r))
 
             entering = self._dual_ratio_test(reduced, alpha, to_lower)
             if entering is None:
                 return LPStatus.INFEASIBLE, iteration
 
+            reduced -= (reduced[entering] / alpha[entering]) * alpha
+            reduced[entering] = 0.0
             alpha_q = self.factors.ftran(self._column(entering))
             bound_r = lo[r] if to_lower else hi[r]
             step = (self.xb[r] - bound_r) / alpha[entering]

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import _make_cover
+from repro.eps import build_eps_template, eps_spec
 from repro.ilp import BnBOptions, LPResult, LPStatus, Model, lin_sum, solve_milp
 from repro.ilp import branch_and_bound
 from repro.ilp.branch_and_bound import _branch_var, _Pseudocosts
+from repro.synthesis import synthesize_ilp_mr
 
 
 def _solve_both(m: Model, warm_start: bool = True):
@@ -223,3 +226,60 @@ class TestUnresolvedNodeLPs:
         assert out.status == "limit"
         assert out.x is None
         assert out.stats.lp_iterations == 14  # both attempts are counted
+
+
+class TestNodeLPsSolvedOnce:
+    """A child LP solved for pseudocost seeding is not solved again when
+    the search opens that child."""
+
+    @staticmethod
+    def _record_searches(monkeypatch):
+        real_lp = branch_and_bound.solve_lp
+        real_search = branch_and_bound._solve_milp_search
+        searches = []
+
+        def solve_lp(c, a, senses, b, lb, ub, **kwargs):
+            res = real_lp(c, a, senses, b, lb, ub, **kwargs)
+            basis = kwargs.get("warm_basis")
+            warm = None if basis is None else (
+                basis.var_status.tobytes(), basis.row_status.tobytes()
+            )
+            searches[-1]["keys"].append((lb.tobytes(), ub.tobytes(), warm))
+            searches[-1]["iterations"] += res.iterations
+            return res
+
+        def search(*args, **kwargs):
+            searches.append({"keys": [], "iterations": 0})
+            out = real_search(*args, **kwargs)
+            searches[-1]["stats"] = out.stats
+            return out
+
+        monkeypatch.setattr(branch_and_bound, "solve_lp", solve_lp)
+        monkeypatch.setattr(branch_and_bound, "_solve_milp_search", search)
+        return searches
+
+    @staticmethod
+    def _assert_no_repeats(searches):
+        assert searches
+        for s in searches:
+            # Same bounds and warm basis on the same equality form: solve_lp
+            # is deterministic in its arguments, so a repeat is wasted work.
+            assert len(set(s["keys"])) == len(s["keys"])
+            assert s["stats"].lp_iterations == s["iterations"]
+
+    def test_cover_search(self, monkeypatch):
+        searches = self._record_searches(monkeypatch)
+        out = solve_milp(_make_cover(40, 60, seed=40).to_matrix_form())
+        assert out.status == "optimal"
+        assert out.objective == pytest.approx(121.0)
+        assert len(searches) == 1
+        self._assert_no_repeats(searches)
+
+    def test_ilp_mr_searches(self, monkeypatch):
+        searches = self._record_searches(monkeypatch)
+        spec = eps_spec(build_eps_template(num_generators=2),
+                        reliability_target=6.5e-4)
+        result = synthesize_ilp_mr(spec, backend="bnb")
+        assert result.cost == 12012.0
+        assert len(searches) == len(result.iterations) >= 2
+        self._assert_no_repeats(searches)

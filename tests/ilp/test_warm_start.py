@@ -11,6 +11,8 @@ The acceptance contract for the incremental MILP core:
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro import obs
 from repro.eps import build_eps_template, eps_spec
 from repro.ilp import BnBOptions, LPStatus, bland_cutover, solve_lp
 from repro.ilp.branch_and_bound import solve_milp
+from repro.ilp.simplex import _BASIC, _BoundedSimplex
 
 INF = math.inf
 
@@ -125,6 +128,65 @@ def test_warm_equals_cold_after_tightening(problem):
     assert cold.status is LPStatus.OPTIMAL
     assert warm.status is LPStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+
+
+@contextmanager
+def _fresh_reduced_cost_check():
+    """Compare, at every dual pivot, the reduced costs the dual ratio test
+    receives with a fresh ``_reduced_costs`` on the movable nonbasic
+    columns; yields the list of relative drifts checked."""
+    real_dual = _BoundedSimplex._dual
+    real_ratio_test = _BoundedSimplex._dual_ratio_test
+    costs, drifts = [], []
+
+    def dual(self, c, *args, **kwargs):
+        costs.append(c)
+        try:
+            return real_dual(self, c, *args, **kwargs)
+        finally:
+            costs.pop()
+
+    def dual_ratio_test(self, reduced, alpha, to_lower):
+        c = costs[-1]
+        fresh = self._reduced_costs(c)
+        movable = (self.status_flags != _BASIC) & (self.lb != self.ub)
+        drift = np.abs(reduced[movable] - fresh[movable]).max(initial=0.0)
+        drifts.append(drift / max(1.0, np.abs(c).max()))
+        assert drifts[-1] <= 1e-9
+        return real_ratio_test(self, reduced, alpha, to_lower)
+
+    with mock.patch.object(_BoundedSimplex, "_dual", dual), \
+            mock.patch.object(_BoundedSimplex, "_dual_ratio_test",
+                              dual_ratio_test):
+        yield drifts
+
+
+class TestDualReducedCosts:
+    """The dual simplex updates its reduced costs from the pivot row; they
+    must track a fresh computation up to round-off."""
+
+    def test_tightened_lps(self):
+        @given(tightened_lp())
+        @settings(max_examples=80, deadline=None)
+        def warm_resolve(problem):
+            c, a, b, ub, var = problem
+            c, a, b = (np.asarray(v, float) for v in (c, a, b))
+            lb, ub = np.zeros(len(c)), np.asarray(ub, float)
+            senses = ["<="] * len(b)
+            base = solve_lp(c, a, senses, b, lb, ub, want_basis=True)
+            tight_ub = ub.copy()
+            tight_ub[var] = max(lb[var], math.floor(base.x[var] / 2.0))
+            solve_lp(c, a, senses, b, lb, tight_ub, warm_basis=base.basis)
+
+        with _fresh_reduced_cost_check() as drifts:
+            warm_resolve()
+        assert drifts
+
+    def test_eps_bnb_search(self):
+        with _fresh_reduced_cost_check() as drifts:
+            out = solve_milp(eps_form(), BnBOptions())
+        assert out.status == "optimal"
+        assert drifts
 
 
 class TestWarmBnB:
