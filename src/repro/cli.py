@@ -388,16 +388,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _write_trace(tracer: obs.Tracer, path: str) -> None:
-    """Write a finished trace: ``.jsonl`` -> span events, else Chrome JSON."""
-    from .engine.telemetry import TelemetryWriter
+    """Write a finished trace: ``.jsonl`` -> ``span`` records, else Chrome JSON.
 
+    Both forms hold the local spans and those absorbed from pool or queue
+    workers.
+    """
     if path.endswith(".jsonl"):
-        with TelemetryWriter(path, batch="trace") as writer:
-            obs.export_spans_jsonl(writer, tracer.spans)
+        with obs.TelemetryWriter(path, batch="trace") as writer:
+            for s in tracer.spans:
+                if s.finished:
+                    writer.emit("span", **obs.span_record(s))
+            for record in tracer.records:
+                writer.emit("span", **record)
     else:
-        # Records absorbed from pool/queue workers make the export a
-        # stitched multi-process trace; without any it is the classic
-        # single-process document.
         obs.write_chrome_trace(path, tracer.spans, metrics=obs.snapshot(),
                                records=tracer.records)
     print(f"trace written: {path}")
@@ -727,7 +730,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             for path in args.files:
                 if not os.path.exists(path):
                     raise SystemExit(f"no such file: {path}")
-                counts = wh.ingest_file(path, kind=args.kind)
+                counts = wh.ingest_file(path)
                 for table, n in counts.items():
                     total[table] = total.get(table, 0) + n
                 print(f"{path}: " + (", ".join(
@@ -1152,11 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ob_in.add_argument("files", nargs="+", metavar="FILE",
                        help="JSONL streams (batch telemetry, obslog, "
-                       "worker spools)")
-    ob_in.add_argument("--kind", default="auto",
-                       choices=["auto", "telemetry", "log"],
-                       help="force the stream kind (default: sniff each "
-                       "record)")
+                       "span traces, worker spools)")
     ob_qr = ob_sub.add_parser(
         "query", help="run read-only SQL (no SQL = warehouse overview)"
     )

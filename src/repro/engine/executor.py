@@ -245,9 +245,10 @@ def worker_runtime(
     Installs the shared reliability cache, drops a tracer and open-span
     stack inherited through fork (a worker traces each job under the
     coordinator's context instead, see :func:`_run_shipped`), observes
-    metrics, and opens the worker's spool ``<spool_dir>/worker-<pid>.jsonl``,
-    into which B&B search events stream. On exit the cache lands its
-    buffered writes and the spool ships a final metrics delta.
+    metrics, and opens the worker's spool ``<spool_dir>/worker-<pid>.jsonl``
+    while the directory exists, into which B&B search events stream. On
+    exit the cache lands its buffered writes and the spool ships a final
+    metrics delta.
     """
     from ..ilp.search_events import capture_search_events
     from ..reliability.exact import set_reliability_cache
@@ -260,7 +261,6 @@ def worker_runtime(
     obs.add_observer()
     pid = os.getpid()
     spool = obs.TelemetrySpool(Path(spool_dir) / f"worker-{pid}.jsonl")
-    spool.flush()  # open the file while the spool directory exists
     try:
         with capture_search_events(
             lambda ev: spool.emit("bnb_event", worker_pid=pid, **ev)
@@ -279,7 +279,7 @@ def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
 
     Under a trace context the job runs under its own tracer, whose root
     span parents to the coordinator's span. The spans and the job's
-    metrics delta are flushed before the envelope is returned: the
+    metrics delta are spooled before the envelope is returned: the
     coordinator folds the spool as each result arrives, so no result
     outruns its telemetry.
     """
@@ -291,9 +291,8 @@ def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
             return _worker_run(job)
     finally:
         for s in tracer.spans if tracer is not None else ():
-            spool.emit_span(s)
+            spool.emit("span", **obs.span_record(s))
         spool.ship_metrics(job=job.job_id)
-        spool.flush()
 
 
 #: A pool worker's ``(spool, trace context)``, set by :func:`_worker_init`.
@@ -484,7 +483,7 @@ class _PoolTransport:
 
     def _complete(self, job: Job, attempts: int,
                   envelope: Dict[str, Any]) -> _Completion:
-        # The worker flushed the job's telemetry before returning.
+        # The worker spooled the job's telemetry before returning.
         self._collector.poll()
         return job, attempts, envelope
 

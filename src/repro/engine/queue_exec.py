@@ -32,8 +32,8 @@ Layout under ``queue_dir``::
                             so their spans join the coordinator's trace
     spools/worker-<pid>.jsonl   per-worker telemetry spool: span records,
                             metric deltas, and B&B search events,
-                            heartbeat-flushed and folded back into the
-                            run by the coordinator's
+                            written as they happen and folded back into
+                            the run by the coordinator's
                             :class:`repro.obs.SpoolCollector`
 
 Jobs are content-addressed by :func:`job_digest` (SHA-256 of the pickled
@@ -385,22 +385,23 @@ class FileWorkQueue:
                ) -> Dict[str, Any]:
         """The ``/healthz`` contribution: depth, leases, spool backlog.
 
-        ``spool_backlog`` is bytes workers have flushed that nobody has
+        ``spool_backlog`` is bytes workers have spooled that nobody has
         folded yet — with a live collector, relative to its offsets;
         standalone, the total spooled bytes. A fleet that stalls shows
         up as ``active_leases`` flatlining while ``queue_depth`` stays
         high and the backlog stops moving. ``oldest_lease_age`` is the
-        seconds since the staleest lease's last heartbeat — the signal
-        the ``stuck_lease`` alert rule thresholds against its ttl.
+        seconds since the staleest lease's last heartbeat — a
+        ``threshold`` alert rule on ``queue.oldest_lease_age`` against
+        the lease ttl reports a worker that died holding its lease.
         """
         counts = self.counts()
         doc: Dict[str, Any] = {
             "queue_depth": counts["pending"],
             "active_leases": counts["leased"],
             "results": counts["results"],
-            "spool_backlog": obs.spool_backlog(
-                self.spool_dir, collector=collector
-            ),
+            "spool_backlog": (
+                collector or obs.SpoolCollector(self.spool_dir)
+            ).backlog(),
         }
         oldest: Optional[float] = None
         now = time.time()
@@ -437,11 +438,9 @@ class FileWorkQueue:
 
 
 def _heartbeat_loop(queue: FileWorkQueue, lease: Lease, interval: float,
-                    stop: threading.Event,
-                    spool: "obs.TelemetrySpool") -> None:
+                    stop: threading.Event) -> None:
     while not stop.wait(interval):
         queue.heartbeat(lease)
-        spool.flush()
 
 
 def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
@@ -456,7 +455,7 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
-        args=(queue, lease, heartbeat_interval, stop, spool),
+        args=(queue, lease, heartbeat_interval, stop),
         daemon=True,
     )
     beat.start()
@@ -649,7 +648,7 @@ class _QueueTransport:
                 record = self._queue.load_result(digest)
                 if record is None:
                     continue
-                # Workers flush their spool before publishing a result,
+                # Workers spool telemetry before publishing a result,
                 # so folding first guarantees the metrics and spans of
                 # this job are home before its JobResult is yielded.
                 self._collector.poll()
@@ -703,7 +702,7 @@ class _QueueTransport:
                 worker.terminate()
                 worker.join(timeout=1.0)
         # Final sweep: the workers' exit deltas (and, with external
-        # workers, anything flushed since the last poll).
+        # workers, anything spooled since the last poll).
         self._collector.drain()
         if self._own_queue:
             shutil.rmtree(self._queue.path, ignore_errors=True)

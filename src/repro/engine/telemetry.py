@@ -1,11 +1,14 @@
 """Structured run telemetry — one JSONL event stream per batch.
 
-Every batch the engine executes can append its life cycle to a JSONL file:
+Every batch the engine executes can append its life cycle to a JSONL file
+through :class:`repro.obs.TelemetryWriter` (re-exported here):
 ``batch_start``, per-job ``job_start`` / ``job_end`` / ``job_retry`` /
 ``job_timeout``, and a closing ``batch_end`` carrying wall time and cache
-hit/miss totals. Events from successive runs append to the same file (each
-run under a fresh ``batch`` id), so a warm-cache re-run can be compared
-against its cold predecessor with nothing but the telemetry file:
+hit/miss totals; pool and queue batches also journal what their workers
+spooled (``span``, ``metrics_snapshot`` and ``bnb_event`` records, see
+:mod:`repro.obs.spool`). Events from successive runs append to the same
+file (each run under a fresh ``batch`` id), so a warm-cache re-run can be
+compared against its cold predecessor with nothing but the telemetry file:
 
     >>> summaries = summarize_telemetry(".relcache/telemetry.jsonl")
     >>> [s["wall_time"] for s in summaries]       # doctest: +SKIP
@@ -19,14 +22,10 @@ same ASCII tables the benchmark harness prints.
 
 from __future__ import annotations
 
-import itertools
-import json
-import os
-import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
-from ..obs.obslog import read_jsonl
+from ..obs.obslog import TelemetryWriter, read_jsonl
 
 __all__ = [
     "TelemetryWriter",
@@ -34,55 +33,6 @@ __all__ = [
     "read_events",
     "summarize_telemetry",
 ]
-
-_BATCH_COUNTER = itertools.count(1)
-
-
-class TelemetryWriter:
-    """Append-mode JSONL event writer for one batch run.
-
-    ``path=None`` makes every method a no-op so call sites never need to
-    branch on whether telemetry was requested.
-    """
-
-    def __init__(self, path: Optional[Union[str, Path]], batch: str = "batch") -> None:
-        self.path = Path(path) if path is not None else None
-        self.batch_id = f"{batch}-{os.getpid()}-{next(_BATCH_COUNTER)}"
-        self._fh = None
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-
-    @property
-    def enabled(self) -> bool:
-        return self._fh is not None
-
-    def emit(self, event: str, **fields: Any) -> None:
-        if self._fh is None:
-            return
-        record = {"ts": time.time(), "batch": self.batch_id, "event": event}
-        record.update(fields)
-        line = json.dumps(record, sort_keys=True, default=str) + "\n"
-        try:
-            self._fh.write(line)
-            self._fh.flush()
-        except (ValueError, OSError):
-            # The handle was closed (or broke) underneath us — e.g. emit
-            # after close(), or an interpreter-shutdown race. Telemetry
-            # must never take the run down, so degrade to the same no-op
-            # contract as ``path=None`` from here on.
-            self._fh = None
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -133,10 +83,9 @@ def summarize_telemetry(
         events = source
 
     summaries: Dict[str, Dict[str, Any]] = {}
-    span_events = {"span_start", "span_end"}
     for event in events:
-        if event.get("event") in span_events:
-            continue  # tracer spans share the stream; not batch life cycle
+        if event.get("event") == "span":
+            continue  # finished spans share the stream; not batch life cycle
         batch = event.get("batch", "?")
         summary = summaries.setdefault(
             batch,

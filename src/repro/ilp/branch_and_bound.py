@@ -23,10 +23,9 @@ ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
 The solver is exact: on termination without hitting a limit, the incumbent
 is optimal within the requested gap. The time and node limits are checked
 before every node LP, so a limited search overshoots by at most one node.
-A node LP left unresolved (iteration cap or numerical failure) is
-re-solved cold once; if it is still unresolved, its subtree stays open
-with its inherited bound and the search ends in ``limit``, never in
-``infeasible`` or ``optimal``.
+A node LP left unresolved (iteration cap or numerical failure) keeps its
+subtree open with its inherited bound, and the search ends in ``limit``,
+never in ``infeasible`` or ``optimal``.
 """
 
 from __future__ import annotations
@@ -244,22 +243,19 @@ def _solve_milp_search(
     def lp_solve(
         lb: np.ndarray, ub: np.ndarray, basis: Optional[LPBasis] = None
     ) -> LPResult:
-        res = None
-        # An unresolved LP (iteration cap or numerical failure) says nothing
-        # about its node: re-solve it cold once before giving up on it.
-        for start in (basis if opts.warm_start else None, None):
-            res = solve_lp(
-                form.c, lp_form, form.senses, form.b, lb, ub,
-                warm_basis=start, want_basis=opts.warm_start,
-            )
-            if res.warm_started:
-                stats.warm_lp_solves += 1
-            else:
-                stats.cold_lp_solves += 1
-            stats.dual_pivots += res.dual_pivots
-            stats.lp_iterations += res.iterations
-            if res.status is not LPStatus.ITERATION_LIMIT:
-                break
+        # A warm solve that hits its cap already restarts cold inside
+        # solve_lp, so ITERATION_LIMIT here is final for this node.
+        res = solve_lp(
+            form.c, lp_form, form.senses, form.b, lb, ub,
+            warm_basis=basis if opts.warm_start else None,
+            want_basis=opts.warm_start,
+        )
+        if res.warm_started:
+            stats.warm_lp_solves += 1
+        else:
+            stats.cold_lp_solves += 1
+        stats.dual_pivots += res.dual_pivots
+        stats.lp_iterations += res.iterations
         return res
 
     root = _Node(bound=-math.inf, tie=next(counter), depth=0,

@@ -12,10 +12,16 @@ against. Three pieces:
   :class:`Gauge` / :class:`Histogram` instruments in a process-global
   registry (``metrics.counter("ilp.bnb.nodes").inc(...)``).
 * **Export** (:mod:`repro.obs.export`, :mod:`repro.obs.profile`) —
-  Chrome trace-event JSON (``chrome://tracing`` / Perfetto), JSONL span
-  events sharing :class:`repro.engine.TelemetryWriter`'s stream format,
-  and a profile-tree aggregation rendered by
+  Chrome trace-event JSON (``chrome://tracing`` / Perfetto) and a
+  profile-tree aggregation rendered by
   :func:`repro.report.render_profile`.
+
+Every telemetry stream is JSONL written by one
+:class:`TelemetryWriter` (:mod:`repro.obs.obslog`) and read by one
+``read_jsonl``: batch journals, worker spools, structured logs, and
+span traces. A finished span has one record,
+:func:`span_record`, written as a ``span`` event wherever it is stored,
+and the warehouse (:mod:`repro.obs.warehouse`) ingests that one shape.
 
 Since PR 5 the layer is also *live*: a stdlib HTTP server
 (:mod:`repro.obs.server`) exposes ``/metrics`` (Prometheus text
@@ -45,7 +51,6 @@ And watching a run live (the CLI's ``--serve PORT`` flag)::
 """
 
 from .aggregate import (
-    iter_metrics_snapshots,
     merge_snapshot,
     merge_telemetry,
     snapshot_delta,
@@ -64,9 +69,6 @@ from .context import (
     trace_context,
 )
 from .export import (
-    chrome_trace,
-    chrome_trace_events,
-    export_spans_jsonl,
     stitch_chrome_trace,
     stitched_trace_events,
     write_chrome_trace,
@@ -95,6 +97,7 @@ from .metrics import (
 )
 from .obslog import (
     ObsLog,
+    TelemetryWriter,
     configure_obslog,
     current_log_context,
     get_obslog,
@@ -122,7 +125,6 @@ from .spool import (
     SPOOL_DIR_NAME,
     SpoolCollector,
     TelemetrySpool,
-    spool_backlog,
 )
 from .warehouse import (
     DEFAULT_WAREHOUSE_PATH,
@@ -172,6 +174,7 @@ __all__ = [
     "SpoolCollector",
     "TelemetrySpool",
     "TelemetryWarehouse",
+    "TelemetryWriter",
     "TraceContext",
     "Tracer",
     "absorb_record",
@@ -180,8 +183,6 @@ __all__ = [
     "auto_ingest_path",
     "build_dashboard_model",
     "build_profile",
-    "chrome_trace",
-    "chrome_trace_events",
     "configure_auto_ingest",
     "configure_obslog",
     "counter",
@@ -190,14 +191,12 @@ __all__ = [
     "current_trace_context",
     "enabled",
     "escape_label_value",
-    "export_spans_jsonl",
     "flatten_profile",
     "gauge",
     "get_obslog",
     "get_tracer",
     "health_snapshot",
     "histogram",
-    "iter_metrics_snapshots",
     "load_alert_rules",
     "log",
     "log_context",
@@ -230,7 +229,6 @@ __all__ = [
     "span",
     "span_record",
     "span_uid",
-    "spool_backlog",
     "stitch_chrome_trace",
     "stitched_trace_events",
     "trace_context",

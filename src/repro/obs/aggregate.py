@@ -18,7 +18,8 @@ thousands of engine calls. The fix is a snapshot/delta/merge pipeline:
 
 Post-hoc, :func:`merge_telemetry` replays the ``metrics_snapshot``
 events of a telemetry file into a fresh registry, so worker totals can
-be reconstructed from the artifact alone.
+be reconstructed from the artifact alone — for the whole fleet, or per
+worker (a service run's ``worker_metrics.json``).
 
 Caveat: a per-job histogram delta cannot recover the window's true
 min/max from two cumulative snapshots, so deltas carry the worker's
@@ -39,7 +40,6 @@ __all__ = [
     "snapshot_delta",
     "merge_snapshot",
     "merge_telemetry",
-    "iter_metrics_snapshots",
 ]
 
 Snapshot = Dict[str, Dict[str, Any]]
@@ -129,29 +129,25 @@ def merge_snapshot(
     return merged
 
 
-def iter_metrics_snapshots(
-    source: Union[str, Path, Iterable[Dict[str, Any]]],
-) -> Iterable[Snapshot]:
-    """Yield the ``metrics_snapshot`` payloads of a telemetry stream."""
-    if isinstance(source, (str, Path)):
-        source = read_jsonl(source)[0]
-    for event in source:
-        if event.get("event") == "metrics_snapshot":
-            metrics = event.get("metrics")
-            if isinstance(metrics, dict):
-                yield metrics
-
-
 def merge_telemetry(
     source: Union[str, Path, Iterable[Dict[str, Any]]],
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
-    """Replay a telemetry file's worker snapshots into a registry.
+    """Replay a telemetry stream's ``metrics_snapshot`` deltas.
 
-    ``registry`` defaults to a *fresh* one (not the global), so the
-    reconstruction can be inspected without contaminating live metrics.
+    ``source`` is a JSONL path or already-parsed records; every other
+    event is ignored. ``registry`` defaults to a *fresh* one (not the
+    global), so the reconstruction can be inspected without
+    contaminating live metrics. Pass one worker's records to get that
+    worker's totals.
     """
     reg = registry if registry is not None else MetricsRegistry()
-    for snap in iter_metrics_snapshots(source):
-        merge_snapshot(snap, reg)
+    if isinstance(source, (str, Path)):
+        source = read_jsonl(source)[0]
+    for event in source:
+        metrics = event.get("metrics")
+        if event.get("event") == "metrics_snapshot" and isinstance(
+            metrics, dict
+        ):
+            merge_snapshot(metrics, reg)
     return reg

@@ -16,7 +16,9 @@ Rule types (``type =`` in each ``[[rule]]`` table):
     Compare a metric (``metric = "engine.jobs.completed"``; histogram
     names take a statistic suffix — ``engine.job.seconds.p95``) or a
     ``/healthz`` field (``source = "health"``, ``key =
-    "queue.queue_depth"``) against ``value`` with ``op``.
+    "queue.queue_depth"``) against ``value`` with ``op``. A queue lease
+    older than its ttl — a worker died holding it — is ``key =
+    "queue.oldest_lease_age"``, ``op = ">"``, ``value = <ttl>``.
 ``rate_of_change``
     Per-second growth of a counter/gauge over a trailing ``window``
     seconds exceeds ``threshold``.
@@ -26,9 +28,6 @@ Rule types (``type =`` in each ``[[rule]]`` table):
     ``1 - objective``, exceeds ``burn``. A burn rate of 1.0 spends the
     budget exactly at the objective's pace; 10x eats a month's budget in
     three days.
-``stuck_lease``
-    A queue health source reports an ``oldest_lease_age`` older than
-    ``ttl`` seconds — a worker died without releasing its lease.
 ``heartbeat_silence``
     An active registered run has not updated its progress for ``window``
     seconds — a hung loop that still holds its registration.
@@ -71,7 +70,6 @@ RULE_TYPES = (
     "threshold",
     "rate_of_change",
     "slo_burn",
-    "stuck_lease",
     "heartbeat_silence",
     "bench_sentinel",
 )
@@ -328,20 +326,6 @@ class AlertEngine:
                     burn,
                 )
             return False, "", burn
-        if rule.type == "stuck_lease":
-            source = str(p.get("source", "queue"))
-            ttl = float(p.get("ttl", 60.0))
-            age = _resolve_health(health, f"{source}.oldest_lease_age")
-            if not isinstance(age, (int, float)):
-                return False, "", None
-            if age > ttl:
-                return (
-                    True,
-                    f"oldest {source} lease is {age:.0f}s old"
-                    f" (ttl {ttl:g}s) — worker lost?",
-                    float(age),
-                )
-            return False, "", float(age)
         if rule.type == "heartbeat_silence":
             window = float(p.get("window", 120.0))
             from .server import run_registry as _run_registry

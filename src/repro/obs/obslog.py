@@ -1,8 +1,9 @@
-"""Structured JSON logging with run/job/span correlation.
+"""The one JSONL writer, structured logging, and the one JSONL reader.
 
-One JSON object per line, the same shape family as the engine's batch
-telemetry, so a log file and a telemetry file can be grepped and joined
-with the same tooling:
+Every telemetry stream in the package — batch journals, worker spools,
+``span`` traces and the structured log below — is JSONL written by
+:class:`TelemetryWriter` and read back by :func:`read_jsonl`. Log
+records look like the rest, plus a ``level``:
 
     {"ts": 1754..., "level": "info", "event": "ilp_mr.iteration",
      "run": "ilp_mr-1234-1", "iteration": 3, "cost": 34.0, ...}
@@ -17,15 +18,16 @@ Correlation fields come from two places and are attached automatically:
   there is one (``span`` id and ``span_name``).
 
 Logging is *off* by default: :func:`log` costs one global lookup and a
-``None`` check until :func:`configure_obslog` installs a sink. The sink
-writes to a path (append mode, JSONL) or an open stream; a broken sink
-degrades to a no-op — logging must never take a run down (the same
-contract as :class:`repro.engine.TelemetryWriter`).
+``None`` check until :func:`configure_obslog` installs a sink. A writer
+that cannot open or write its file degrades to a no-op — telemetry must
+never take a run down.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -36,6 +38,7 @@ from . import tracer as _tracer
 
 __all__ = [
     "ObsLog",
+    "TelemetryWriter",
     "configure_obslog",
     "get_obslog",
     "obslog_enabled",
@@ -55,13 +58,86 @@ _FIELDS: ContextVar[Tuple[Tuple[str, Any], ...]] = ContextVar(
     "repro_obslog_fields", default=()
 )
 
+_BATCH_COUNTER = itertools.count(1)
+
+
+def _encode(record: Dict[str, Any]) -> str:
+    return json.dumps(record, sort_keys=True, default=str) + "\n"
+
+
+class TelemetryWriter:
+    """Append-mode JSONL writer: the one place a telemetry record is written.
+
+    ``path`` is a file, opened for append (parent directories are
+    created), or an open text stream, which is never closed. Each record
+    is written and flushed as it comes. ``path=None``, a file that cannot
+    be opened, and a handle that breaks make every method a no-op, so
+    call sites never branch on whether telemetry works. :meth:`emit`
+    stamps a journal record with ``ts``, this writer's fresh ``batch``
+    id and ``event``.
+    """
+
+    def __init__(
+        self, path: Optional[Union[str, Path, TextIO]], batch: str = "batch"
+    ) -> None:
+        self.batch_id = f"{batch}-{os.getpid()}-{next(_BATCH_COUNTER)}"
+        self.path: Optional[Path] = None
+        self._fh: Optional[TextIO] = None
+        self._owns_fh = False
+        if isinstance(path, (str, os.PathLike)):
+            self.path = Path(path)
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
+                self._owns_fh = True
+            except OSError:
+                pass
+        else:
+            self._fh = path
+
+    @property
+    def enabled(self) -> bool:
+        return self._fh is not None
+
+    def emit(self, event: str, **fields: Any) -> None:
+        if self._fh is not None:
+            self.write({"ts": time.time(), "batch": self.batch_id,
+                        "event": event, **fields})
+
+    def write(self, record: Dict[str, Any]) -> None:
+        """Append ``record`` as one JSON line and flush it."""
+        if self._fh is None:
+            return
+        try:
+            self._fh.write(_encode(record))
+            self._fh.flush()
+        except (ValueError, OSError):
+            # Closed or broken underneath us (emit after close(), an
+            # interpreter-shutdown race, a full disk): no-op from here on.
+            self._fh = None
+
+    def close(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None and self._owns_fh:
+            try:
+                fh.close()
+            except OSError:
+                pass
+
+    def __enter__(self) -> "TelemetryWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
 
 class ObsLog:
     """A JSONL log sink with level filtering and size-based rotation.
 
     ``path`` appends to a file (parent directories are created);
     ``stream`` writes to an open text stream instead. Exactly one of the
-    two is used; ``path`` wins when both are given.
+    two is used; ``path`` wins when both are given. Records go through a
+    :class:`TelemetryWriter`.
 
     A path sink with ``max_bytes > 0`` rotates before a record would push
     the file past the cap: ``app.jsonl`` shifts to ``app.jsonl.1``,
@@ -85,44 +161,43 @@ class ObsLog:
             raise ValueError(f"backups must be >= 1, got {backups!r}")
         self.level = level
         self.path = Path(path) if path is not None else None
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = int(max_bytes) if self.path is not None else 0
         self.backups = int(backups)
+        self._writer = TelemetryWriter(
+            self.path if self.path is not None else stream
+        )
         self._size = 0
-        self._stream: Optional[TextIO] = None
-        self._owns_stream = False
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream = self.path.open("a", encoding="utf-8")
-            self._owns_stream = True
+        if self.max_bytes > 0:
             try:
                 self._size = self.path.stat().st_size
             except OSError:
-                self._size = 0
-        elif stream is not None:
-            self._stream = stream
+                pass
 
     @property
     def enabled(self) -> bool:
-        return self._stream is not None
+        return self._writer.enabled
 
     def _rotate(self) -> None:
         """Shift ``path -> path.1 -> path.2 ...`` and reopen fresh."""
-        assert self.path is not None and self._stream is not None
-        self._stream.close()
-        for i in range(self.backups, 0, -1):
-            src = (
-                self.path
-                if i == 1
-                else self.path.with_name(f"{self.path.name}.{i - 1}")
-            )
-            dst = self.path.with_name(f"{self.path.name}.{i}")
-            if src.exists():
-                src.replace(dst)
-        self._stream = self.path.open("a", encoding="utf-8")
+        assert self.path is not None
+        self._writer.close()
+        try:
+            for i in range(self.backups, 0, -1):
+                src = (
+                    self.path
+                    if i == 1
+                    else self.path.with_name(f"{self.path.name}.{i - 1}")
+                )
+                dst = self.path.with_name(f"{self.path.name}.{i}")
+                if src.exists():
+                    src.replace(dst)
+        except OSError:
+            return  # the closed writer leaves the sink a no-op
+        self._writer = TelemetryWriter(self.path)
         self._size = 0
 
     def emit(self, level: str, event: str, fields: Dict[str, Any]) -> None:
-        if self._stream is None:
+        if not self._writer.enabled:
             return
         if _LEVELS.get(level, 20) < _LEVELS[self.level]:
             return
@@ -134,28 +209,15 @@ class ObsLog:
             record.setdefault("span", span.span_id)
             record.setdefault("span_name", span.name)
         record.update(fields)
-        try:
-            line = json.dumps(record, sort_keys=True, default=str) + "\n"
-            payload = len(line.encode("utf-8"))
-            if (
-                self._owns_stream
-                and self.max_bytes > 0
-                and self._size > 0
-                and self._size + payload > self.max_bytes
-            ):
+        if self.max_bytes > 0:
+            payload = len(_encode(record).encode("utf-8"))
+            if self._size > 0 and self._size + payload > self.max_bytes:
                 self._rotate()
-            self._stream.write(line)
-            self._stream.flush()
             self._size += payload
-        except (ValueError, OSError):
-            # Closed or broken sink — degrade to no-op for the rest of
-            # the run rather than poisoning the caller.
-            self._stream = None
+        self._writer.write(record)
 
     def close(self) -> None:
-        if self._owns_stream and self._stream is not None:
-            self._stream.close()
-        self._stream = None
+        self._writer.close()
 
     def __enter__(self) -> "ObsLog":
         return self

@@ -23,9 +23,9 @@ Enable tracing for a region with :func:`tracing`::
         synthesize_ilp_mr(spec)
     print(render_profile(tracer.spans))
 
-An optional :class:`repro.engine.TelemetryWriter` streams ``span_start``
-/ ``span_end`` events into the same JSONL format PR 1's batch telemetry
-uses, so one file can carry both event families.
+A finished span has one serialized form, :func:`span_record`: worker
+spools, the batch journal and ``--trace-out x.jsonl`` write it as a
+``span`` event, and :mod:`repro.obs.export` builds Chrome traces from it.
 """
 
 from __future__ import annotations
@@ -159,15 +159,9 @@ _STACK: ContextVar[tuple] = ContextVar("repro_obs_stack", default=())
 
 
 class Tracer:
-    """Collects spans for one traced region of the program.
+    """Collects spans for one traced region of the program."""
 
-    ``writer`` (optional) is a :class:`repro.engine.TelemetryWriter`;
-    when given, every span emits ``span_start`` on open and ``span_end``
-    (with duration and final attributes) on close, sharing PR 1's JSONL
-    telemetry format.
-    """
-
-    def __init__(self, writer=None) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         #: Span *records* absorbed from other processes (worker
         #: spools) — already-serialized dicts in the
@@ -175,7 +169,6 @@ class Tracer:
         #: tracer holds the whole distributed trace for stitching.
         self.records: List[Dict[str, Any]] = []
         self._ids = itertools.count(1)
-        self._writer = writer
         self._lock = threading.Lock()
 
     def span(self, name: str, /, **attrs: Any) -> Span:
@@ -195,19 +188,6 @@ class Tracer:
                 s.remote_parent = ctx.parent_uid
         s._tracer = self
         s._token = _STACK.set(_STACK.get() + (s,))
-        if self._writer is not None:
-            extra: Dict[str, Any] = {}
-            if s.trace_id is not None:
-                extra["trace"] = s.trace_id
-                extra["uid"] = span_uid(s)
-            self._writer.emit(
-                "span_start",
-                ts=s.ts_epoch,
-                span=s.span_id,
-                parent=s.parent_id,
-                name=name,
-                **extra,
-            )
         return s
 
     def add_record(self, record: Dict[str, Any]) -> None:
@@ -233,23 +213,6 @@ class Tracer:
             s._token = None
         with self._lock:
             self.spans.append(s)
-        if self._writer is not None:
-            extra: Dict[str, Any] = {}
-            if s.trace_id is not None:
-                extra["trace"] = s.trace_id
-                extra["uid"] = span_uid(s)
-                if s.remote_parent is not None:
-                    extra["remote_parent"] = s.remote_parent
-            self._writer.emit(
-                "span_end",
-                ts=s.ts_epoch + s.duration,
-                span=s.span_id,
-                parent=s.parent_id,
-                name=s.name,
-                duration=round(s.duration, 9),
-                attrs={k: _jsonable(v) for k, v in s.attrs.items()},
-                **extra,
-            )
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -332,14 +295,14 @@ def set_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(writer=None, tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
+def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
     """Scoped tracing: install a (new) tracer, restore the previous one.
 
     The span stack is snapshotted on entry and restored on exit, so a
     span left open inside the region (a bug, but survivable) cannot leak
     into later traces as a phantom parent.
     """
-    t = tracer if tracer is not None else Tracer(writer=writer)
+    t = tracer if tracer is not None else Tracer()
     previous = set_tracer(t)
     saved_stack = _STACK.get()
     try:
@@ -380,9 +343,11 @@ def set_attr(key: str, value: Any) -> None:
 
 
 def span_record(s: Span, pid: Optional[int] = None) -> Dict[str, Any]:
-    """Serialize a finished span into the cross-process wire format.
+    """Serialize a finished span: the one span record.
 
-    The record is what pool and queue workers spool home: epoch
+    The record is what pool and queue workers spool home, what the
+    journal and ``--trace-out x.jsonl`` hold as ``span`` events, and
+    what Chrome traces are built from: epoch
     timestamps (``ts`` + ``dur`` seconds, so spans from different
     processes align on the wall clock), the span's cross-process
     ``uid``, and the ``parent`` uid — the local parent when the span was

@@ -2,9 +2,10 @@
 
 The engine and service plane emit rich JSONL exhaust (batch telemetry,
 span records, worker metric deltas, B&B search-tree events, structured
-obslog lines), but answering "which job was slow last Tuesday" has meant
-hand-grepping journals. The warehouse ingests those streams into indexed
-SQLite tables so operators get SQL over the full fleet history:
+obslog lines), all written by :class:`repro.obs.TelemetryWriter`, but
+answering "which job was slow last Tuesday" has meant hand-grepping
+journals. The warehouse ingests any of those files into indexed SQLite
+tables so operators get SQL over the full fleet history:
 
     wh = TelemetryWarehouse(".archex/warehouse.db")
     wh.ingest_file(".relcache/telemetry.jsonl")
@@ -19,12 +20,16 @@ Tables (all times epoch seconds):
   roll-up: jobs, ok/failed, wall time, cache traffic).
 * ``jobs``          — one row per (batch, job): outcome, attempts, wall
   time, cache hits/misses, retry/timeout counts.
-* ``spans``         — one row per *finished* span (``span_end`` events
-  and ``worker_span`` spool records).
+* ``spans``         — one row per finished span (a ``span`` record).
 * ``metric_deltas`` — one row per instrument per ``metrics_snapshot``
   event (per-worker registry deltas).
 * ``bnb_events``    — the branch-and-bound search-tree stream.
 * ``logs``          — structured obslog records.
+
+Every file is ingested the same way: a record with a ``level`` is a log
+line (whatever correlation fields, such as ``batch``, it carries); every
+other record is dispatched on its ``event``, and events with no table
+(``job_dedup``, ``pool_restart``, ...) are skipped.
 
 Auto-ingest: :func:`configure_auto_ingest` arms a process-global
 destination; :func:`maybe_auto_ingest` (called by the engine after every
@@ -149,6 +154,10 @@ CREATE INDEX IF NOT EXISTS idx_logs_event ON logs (event);
 #: First SQL keywords allowed through :meth:`TelemetryWarehouse.query`.
 _READ_ONLY_PREFIXES = ("select", "with", "explain", "pragma")
 
+#: Life-cycle events whose rows are keyed by their batch id.
+_BATCH_KEYED = ("batch_start", "batch_end", "job_start", "job_end",
+                "job_retry", "job_timeout")
+
 
 def _num(value: Any) -> Optional[float]:
     return float(value) if isinstance(value, (int, float)) else None
@@ -174,18 +183,13 @@ class TelemetryWarehouse:
     # ------------------------------------------------------------------
     # ingest
 
-    def ingest_file(
-        self, path: Union[str, Path], kind: str = "auto"
-    ) -> Dict[str, int]:
+    def ingest_file(self, path: Union[str, Path]) -> Dict[str, int]:
         """Ingest new lines of a JSONL stream since the last pass.
 
-        ``kind`` is ``"telemetry"``, ``"log"``, or ``"auto"`` (sniff each
-        record: a ``batch`` key means engine telemetry, a ``level`` key
-        an obslog record). Only complete (newline-terminated) lines are
-        consumed; the stored byte offset advances past exactly what was
-        parsed, so a writer mid-line never corrupts the ingest and the
-        next pass picks up the remainder. Returns per-table insert
-        counts.
+        Only complete (newline-terminated) lines are consumed; the
+        stored byte offset advances past exactly what was parsed, so a
+        writer mid-line never corrupts the ingest and the next pass
+        picks up the remainder. Returns per-table insert counts.
         """
         source = Path(path)
         key = str(source.resolve())
@@ -205,52 +209,37 @@ class TelemetryWarehouse:
             if end == offset:
                 return counts
             with self._conn:
-                for record in records:
-                    hit = self._ingest_record(record, kind, source.name)
-                    if hit is not None:
-                        table, n = hit if isinstance(hit, tuple) else (hit, 1)
-                        counts[table] = counts.get(table, 0) + n
+                counts = self._ingest(records, source.name)
                 self._conn.execute(
                     "INSERT INTO sources (path, kind, offset, ingested_at)"
                     " VALUES (?, ?, ?, ?)"
                     " ON CONFLICT(path) DO UPDATE SET"
                     " offset = excluded.offset,"
                     " ingested_at = excluded.ingested_at",
-                    (key, kind, end, time.time()),
+                    (key, "jsonl", end, time.time()),
                 )
             return counts
 
     def ingest_events(
-        self,
-        events: Iterable[Dict[str, Any]],
-        kind: str = "auto",
-        source: str = "<memory>",
+        self, events: Iterable[Dict[str, Any]], source: str = "<memory>"
     ) -> Dict[str, int]:
         """Ingest already-parsed records (no source offset tracking)."""
-        counts: Dict[str, int] = {}
         with self._lock, self._conn:
-            for record in events:
-                if not isinstance(record, dict):
-                    continue
-                hit = self._ingest_record(record, kind, source)
-                if hit is not None:
-                    table, n = hit if isinstance(hit, tuple) else (hit, 1)
-                    counts[table] = counts.get(table, 0) + n
-        return counts
+            return self._ingest(
+                (r for r in events if isinstance(r, dict)), source
+            )
 
-    def _ingest_record(
-        self, record: Dict[str, Any], kind: str, source: str
-    ) -> Union[str, Tuple[str, int], None]:
-        if kind == "auto":
-            if "batch" in record and "event" in record:
-                kind = "telemetry"
-            elif "level" in record:
-                kind = "log"
-            else:
-                return None
-        if kind == "log":
-            return self._ingest_log(record, source)
-        return self._ingest_telemetry(record)
+    def _ingest(
+        self, records: Iterable[Dict[str, Any]], source: str
+    ) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for record in records:
+            hit = (self._ingest_log(record, source) if "level" in record
+                   else self._ingest_event(record))
+            if hit is not None:
+                table, n = hit if isinstance(hit, tuple) else (hit, 1)
+                counts[table] = counts.get(table, 0) + n
+        return counts
 
     def _ingest_log(self, record: Dict[str, Any], source: str) -> str:
         core = {"ts", "level", "event", "run", "job"}
@@ -271,11 +260,13 @@ class TelemetryWarehouse:
         )
         return "logs"
 
-    def _ingest_telemetry(
+    def _ingest_event(
         self, record: Dict[str, Any]
     ) -> Union[str, Tuple[str, int], None]:
         event = record.get("event")
         batch = record.get("batch")
+        if batch is None and event in _BATCH_KEYED:
+            return None  # a hand-made file: no batch, no row to key
         ts = _num(record.get("ts")) or 0.0
         conn = self._conn
         if event == "batch_start":
@@ -342,27 +333,13 @@ class TelemetryWarehouse:
                 (batch, str(record.get("job"))),
             )
             return None
-        if event == "span_end":
-            conn.execute(
-                "INSERT INTO spans (batch, uid, parent, name, ts, dur, attrs)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (batch, str(record.get("span")),
-                 None if record.get("parent") is None
-                 else str(record.get("parent")),
-                 record.get("name", "?"),
-                 _num(record.get("ts")) or ts,
-                 _num(record.get("duration")),
-                 json.dumps(record.get("attrs"), sort_keys=True, default=str)
-                 if record.get("attrs") else None),
-            )
-            return "spans"
-        if event == "worker_span":
+        if event == "span":
             conn.execute(
                 "INSERT INTO spans (batch, uid, parent, name, pid, ts, dur,"
                 " attrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 (batch, record.get("uid"), record.get("parent"),
-                 record.get("name", "?"), record.get("pid"),
-                 _num(record.get("ts")) or ts, _num(record.get("dur")),
+                 record.get("name", "?"), record.get("pid"), ts,
+                 _num(record.get("dur")),
                  json.dumps(record.get("attrs"), sort_keys=True, default=str)
                  if record.get("attrs") else None),
             )
@@ -406,7 +383,7 @@ class TelemetryWarehouse:
                  if payload else None),
             )
             return "bnb_events"
-        # span_start, job_dedup, pool_restart, ... carry no warehouse row.
+        # job_dedup, pool_restart, ... carry no warehouse row.
         return None
 
     # ------------------------------------------------------------------

@@ -259,16 +259,12 @@ def _write_observability(record: RunRecord,
         )
     telemetry = record.path / TELEMETRY_NAME
     workers: Dict[str, obs.MetricsRegistry] = {}
-    if telemetry.is_file():
-        for event in read_events(telemetry):
-            if event.get("event") != "metrics_snapshot":
-                continue
-            metrics = event.get("metrics")
-            if not isinstance(metrics, dict):
-                continue
+    for event in read_events(telemetry) if telemetry.is_file() else ():
+        if event.get("event") == "metrics_snapshot":
             pid = str(event.get("worker_pid") or "coordinator")
-            reg = workers.setdefault(pid, obs.MetricsRegistry())
-            obs.merge_snapshot(metrics, registry=reg)
+            obs.merge_telemetry(
+                [event], workers.setdefault(pid, obs.MetricsRegistry())
+            )
     (record.path / WORKER_METRICS_NAME).write_text(
         json.dumps(
             {

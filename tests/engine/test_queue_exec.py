@@ -430,7 +430,6 @@ class TestQueueObservability:
         assert queue.health()["active_leases"] == 1
         spool = obs.TelemetrySpool(queue.spool_path())
         spool.emit("worker_log", record={})
-        spool.flush()
         assert queue.health()["spool_backlog"] > 0
         collector = obs.SpoolCollector(queue.spool_dir)
         collector.poll()

@@ -136,10 +136,8 @@ class TestCrashedBatch:
 
     def test_span_events_do_not_pollute_summaries(self):
         events = self.events() + [
-            {"ts": 2000.0, "batch": "trace-1", "event": "span_start",
-             "span": 1, "name": "ilp_mr"},
-            {"ts": 2900.0, "batch": "trace-1", "event": "span_end",
-             "span": 1, "name": "ilp_mr", "duration": 900.0},
+            {"ts": 2000.0, "batch": "trace-1", "event": "span",
+             "uid": "7.1", "name": "ilp_mr", "dur": 900.0},
         ]
         summaries = summarize_telemetry(events)
         assert [s["batch"] for s in summaries] == ["b-1"]

@@ -199,33 +199,16 @@ def _two_triangles() -> Model:
 class TestUnresolvedNodeLPs:
     """A node LP that hits its iteration cap must not prune its subtree."""
 
-    @staticmethod
-    def _capped_solve_lp(monkeypatch, capped_calls):
-        real = branch_and_bound.solve_lp
-        calls = []
-
-        def solve_lp(*args, **kwargs):
-            calls.append(kwargs.get("warm_basis"))
-            if capped_calls is None or len(calls) in capped_calls:
-                return LPResult(LPStatus.ITERATION_LIMIT, math.nan, None, 7)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(branch_and_bound, "solve_lp", solve_lp)
-        return calls
-
-    def test_capped_root_lp_is_resolved_cold(self, monkeypatch):
-        calls = self._capped_solve_lp(monkeypatch, capped_calls={1})
-        res = _two_triangles().solve(backend="bnb")
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(4.0)
-        assert calls[1] is None  # the retry started cold
-
     def test_unresolvable_lps_end_in_limit(self, monkeypatch):
-        self._capped_solve_lp(monkeypatch, capped_calls=None)
+        monkeypatch.setattr(
+            branch_and_bound, "solve_lp",
+            lambda *args, **kwargs: LPResult(LPStatus.ITERATION_LIMIT,
+                                             math.nan, None, 7),
+        )
         out = solve_milp(_two_triangles().to_matrix_form())
         assert out.status == "limit"
         assert out.x is None
-        assert out.stats.lp_iterations == 14  # both attempts are counted
+        assert out.stats.lp_iterations == 7  # one attempt, no retry
 
 
 class TestNodeLPsSolvedOnce:

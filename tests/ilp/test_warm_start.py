@@ -91,6 +91,37 @@ class TestWarmLP:
         assert not res.warm_started
         assert res.status in (LPStatus.OPTIMAL, LPStatus.INFEASIBLE)
 
+    def test_capped_warm_solve_is_the_cold_solve(self):
+        # Branch-and-bound does not retry an ITERATION_LIMIT node LP cold:
+        # solve_lp already restarts a capped warm attempt cold, with a
+        # fresh budget, so its answer is the cold call's.
+        form = eps_form()
+        a = form.A
+        base = solve_lp(
+            form.c, a, form.senses, form.b, form.lb, form.ub, want_basis=True
+        )
+        frac = [
+            j for j in range(form.num_vars)
+            if form.integrality[j] and abs(base.x[j] - round(base.x[j])) > 1e-6
+        ]
+        ub = form.ub.copy()
+        ub[frac[0]] = 0.0
+        uncapped = solve_lp(form.c, a, form.senses, form.b, form.lb, ub,
+                            warm_basis=base.basis)
+        assert uncapped.warm_started and uncapped.iterations >= 2
+        cap = uncapped.iterations - 1
+        warm = solve_lp(form.c, a, form.senses, form.b, form.lb, ub,
+                        max_iterations=cap, warm_basis=base.basis,
+                        want_basis=True)
+        cold = solve_lp(form.c, a, form.senses, form.b, form.lb, ub,
+                        max_iterations=cap, want_basis=True)
+        assert warm.status is cold.status is LPStatus.ITERATION_LIMIT
+        assert not warm.warm_started
+        for field in ("iterations", "dual_pivots", "x", "basis",
+                      "warm_started"):
+            assert getattr(warm, field) == getattr(cold, field), field
+        assert math.isnan(warm.objective) and math.isnan(cold.objective)
+
 
 @st.composite
 def tightened_lp(draw):

@@ -109,10 +109,6 @@ class TestTelemetryReplay:
             {"event": "batch_end"},
         ]
 
-    def test_iter_metrics_snapshots_filters_events(self):
-        snaps = list(obs.iter_metrics_snapshots(self.events()))
-        assert len(snaps) == 2
-
     def test_merge_telemetry_reconstructs_totals(self):
         reg = obs.merge_telemetry(self.events())
         assert reg.counter("engine.jobs.completed").value == 2

@@ -34,9 +34,11 @@ value = 30.0
 
 [[rule]]
 name = "stuck-lease"
-type = "stuck_lease"
-source = "queue"
-ttl = 60
+type = "threshold"
+source = "health"
+key = "queue.oldest_lease_age"
+op = ">"
+value = 60
 """
 
 
@@ -56,8 +58,8 @@ class TestRuleParsing:
             "too-many-failures", "slow-solves", "stuck-lease"]
         assert rules[0].severity == "critical"
         assert rules[0].params["metric"] == "engine.jobs.failed"
-        assert rules[2].type == "stuck_lease"
-        assert rules[2].params["ttl"] == 60
+        assert rules[2].type == "threshold"
+        assert rules[2].params["value"] == 60
 
     def test_minimal_fallback_matches_tomllib(self):
         # the 3.10 fallback must agree with tomllib on alert files
@@ -70,7 +72,7 @@ class TestRuleParsing:
             assert doc == tomllib.loads(RULES_TOML)
         assert len(doc["rule"]) == 3
         assert doc["rule"][1]["value"] == 30.0
-        assert doc["rule"][2]["ttl"] == 60
+        assert doc["rule"][2]["value"] == 60
 
     def test_unknown_rule_type_rejected(self):
         with pytest.raises(ValueError):
@@ -198,14 +200,18 @@ class TestSloBurn:
 
 class TestStuckLease:
     def test_stuck_lease_from_health(self):
+        # A lease older than its ttl (a worker died holding it) is a
+        # threshold rule on the queue health source's oldest lease age.
         health = {"queue": {"oldest_lease_age": 5.0}}
-        rule = AlertRule(name="lease", type="stuck_lease", params={
-            "source": "queue", "ttl": 60})
+        rule = AlertRule(name="lease", type="threshold", params={
+            "source": "health", "key": "queue.oldest_lease_age",
+            "op": ">", "value": 60})
         engine = AlertEngine([rule], health=lambda: health)
         assert engine.evaluate(now=1.0) == []
         health["queue"]["oldest_lease_age"] = 300.0
         (alert,) = engine.evaluate(now=2.0)
-        assert "worker lost" in alert["message"]
+        assert "queue.oldest_lease_age = 300" in alert["message"]
+        assert alert["value"] == 300.0
         snap = obs.snapshot()
         assert snap["obs.alerts.fired"]["value"] == 1
 

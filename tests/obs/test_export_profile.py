@@ -1,10 +1,9 @@
-"""Exporters (Chrome trace, JSONL) and the profile aggregation/rendering."""
+"""Chrome trace export and the profile aggregation/rendering."""
 
 import json
 import time
 
 from repro import obs
-from repro.engine import TelemetryWriter, read_events
 from repro.report import render_metrics, render_profile
 
 
@@ -44,28 +43,12 @@ class TestChromeTrace:
             with obs.span("closed"):
                 pass
         assert not open_span.finished
-        names = [e["name"] for e in obs.chrome_trace_events(tracer.spans)]
-        assert names == ["closed"]
+        doc = obs.stitch_chrome_trace([], spans=tracer.spans)
+        assert [e["name"] for e in doc["traceEvents"]] == ["closed"]
 
     def test_empty_trace(self):
-        assert obs.chrome_trace_events([]) == []
-        assert obs.chrome_trace([])["traceEvents"] == []
-
-
-class TestJsonlExport:
-    def test_batch_export_matches_streaming_format(self, tmp_path):
-        tracer = make_trace()
-        path = tmp_path / "spans.jsonl"
-        with TelemetryWriter(path, batch="trace") as writer:
-            n = obs.export_spans_jsonl(writer, tracer.spans)
-        assert n == 6
-        events = read_events(path)
-        starts = [e for e in events if e["event"] == "span_start"]
-        ends = [e for e in events if e["event"] == "span_end"]
-        assert len(starts) == len(ends) == 6
-        assert {e["span"] for e in starts} == {e["span"] for e in ends}
-        root_end = [e for e in ends if e["name"] == "root"][0]
-        assert root_end["attrs"] == {"run": 1}
+        assert obs.stitched_trace_events([]) == []
+        assert obs.stitch_chrome_trace([])["traceEvents"] == []
 
 
 class TestProfile:

@@ -21,14 +21,23 @@ def spool_lines(path):
 
 
 class TestTelemetrySpool:
-    def test_buffers_until_flush(self, tmp_path):
+    def test_emit_writes_through(self, tmp_path):
         spool = obs.TelemetrySpool(tmp_path / "spools" / "worker-1.jsonl")
+        assert spool.path.exists()  # opened while the directory exists
         spool.emit("worker_log", record={"msg": "hi"})
-        assert not spool.path.exists()
-        spool.flush()
         (line,) = spool_lines(spool.path)
         assert line["event"] == "worker_log"
         assert line["record"] == {"msg": "hi"}
+        assert "batch" not in line  # the collector stamps the journal's
+
+    def test_late_write_never_recreates_a_removed_directory(self, tmp_path):
+        spool_dir = tmp_path / "spools"
+        spool = obs.TelemetrySpool(spool_dir / "worker-1.jsonl")
+        spool_dir.joinpath("worker-1.jsonl").unlink()
+        spool_dir.rmdir()
+        spool.emit("worker_log", record={})  # must not raise
+        spool.close()
+        assert not spool_dir.exists()
 
     def test_ship_metrics_is_a_delta_since_construction(self, tmp_path):
         obs.counter("unit.spool.pre").inc(5)  # pre-existing: never shipped
@@ -37,7 +46,6 @@ class TestTelemetrySpool:
         with obs.observed():
             obs.counter("unit.spool.calls").inc(3)
         assert spool.ship_metrics() is True
-        spool.flush()
         (line,) = spool_lines(spool.path)
         assert line["event"] == "metrics_snapshot"
         assert line["metrics"]["unit.spool.calls"]["value"] == 3
@@ -48,19 +56,17 @@ class TestTelemetrySpool:
             with tracer.span("engine.job"):
                 pass
         spool = obs.TelemetrySpool(tmp_path / "worker-1.jsonl")
-        spool.emit_span(tracer.spans[0])
-        spool.flush()
+        spool.emit("span", **obs.span_record(tracer.spans[0]))
         (line,) = spool_lines(spool.path)
-        assert line["event"] == "worker_span"
+        assert line["event"] == "span"
         assert line["name"] == "engine.job"
         assert "uid" in line and "ts" in line and "dur" in line
 
     def test_unwritable_spool_degrades_to_noop(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
-        spool = obs.TelemetrySpool(target / "worker-1.jsonl")
-        spool.emit("worker_log", record={})
-        spool.flush()  # must not raise
+        spool = obs.TelemetrySpool(target / "worker-1.jsonl")  # must not raise
+        assert not spool.enabled
         spool.emit("worker_log", record={})
         spool.close()
 
@@ -72,10 +78,9 @@ class TestSpoolCollector:
         spool.emit("metrics_snapshot", worker_pid=321, metrics={
             "unit.collect.jobs": {"kind": "counter", "value": 2},
         })
-        spool.emit("worker_span", name="engine.job", uid="321.1",
+        spool.emit("span", name="engine.job", uid="321.1",
                    parent="1.9", trace="t" * 16, pid=321, tid=1,
                    ts=1.0, dur=0.5, attrs={})
-        spool.flush()
 
         telemetry = tmp_path / "telemetry.jsonl"
         with TelemetryWriter(str(telemetry), batch="b") as writer:
@@ -91,7 +96,7 @@ class TestSpoolCollector:
         assert record["uid"] == "321.1"
         assert tracer.records == [record]
         events = {e["event"] for e in read_events(telemetry)}
-        assert {"metrics_snapshot", "worker_span"} <= events
+        assert {"metrics_snapshot", "span"} <= events
 
     def test_partial_lines_wait_for_completion(self, tmp_path):
         spool_dir = tmp_path / "spools"
@@ -112,17 +117,13 @@ class TestSpoolCollector:
         spool_dir = tmp_path / "spools"
         spool = obs.TelemetrySpool(spool_dir / "worker-1.jsonl")
         spool.emit("worker_log", record={"msg": "x"})
-        spool.flush()
         collector = obs.SpoolCollector(spool_dir)
-        assert collector.backlog() > 0
-        assert obs.spool_backlog(spool_dir, collector) == collector.backlog()
+        # A fresh collector has folded nothing: total spooled bytes.
+        assert collector.backlog() == spool.path.stat().st_size > 0
         collector.poll()
         assert collector.backlog() == 0
-        # Standalone (no collector): total spooled bytes.
-        assert obs.spool_backlog(spool_dir) > 0
 
     def test_missing_dir_is_empty_not_an_error(self, tmp_path):
         collector = obs.SpoolCollector(tmp_path / "nope")
         assert collector.poll() == 0
         assert collector.backlog() == 0
-        assert obs.spool_backlog(tmp_path / "nope") == 0

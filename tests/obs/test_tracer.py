@@ -5,7 +5,6 @@ import threading
 import pytest
 
 from repro import obs
-from repro.engine import TelemetryWriter, read_events
 
 
 class TestDisabled:
@@ -110,27 +109,3 @@ class TestInstallation:
             with obs.tracing():
                 raise ValueError
         assert obs.get_tracer() is None
-
-
-class TestStreaming:
-    def test_writer_receives_start_end_pairs(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with TelemetryWriter(path, batch="trace") as writer:
-            with obs.tracing(writer=writer):
-                with obs.span("outer", phase=1):
-                    with obs.span("inner"):
-                        pass
-        events = read_events(path)
-        kinds = [e["event"] for e in events]
-        assert kinds == ["span_start", "span_start", "span_end", "span_end"]
-        end_outer = [
-            e for e in events if e["event"] == "span_end" and e["name"] == "outer"
-        ][0]
-        assert end_outer["attrs"] == {"phase": 1}
-        assert end_outer["duration"] >= 0.0
-        # span ts overrides the writer's wall clock, so start <= end.
-        start_outer = [
-            e for e in events
-            if e["event"] == "span_start" and e["name"] == "outer"
-        ][0]
-        assert start_outer["ts"] <= end_outer["ts"]

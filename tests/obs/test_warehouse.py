@@ -33,9 +33,9 @@ def telemetry_events(batch="b-1", jobs=2):
                        "job": f"job-{i}", "ok": True, "attempts": 1,
                        "wall_time": 0.5, "cache_hits": 1, "cache_misses": 0,
                        "error": None})
-    events.append({"ts": t + 9, "batch": batch, "event": "span_end",
-                   "span": "s-1", "parent": None, "name": "engine.batch",
-                   "duration": 9.0, "attrs": {"jobs": jobs}})
+    events.append({"ts": t + 9, "batch": batch, "event": "span",
+                   "uid": "7.1", "parent": None, "name": "engine.batch",
+                   "pid": 7, "dur": 9.0, "attrs": {"jobs": jobs}})
     events.append({"ts": t + 9, "batch": batch, "event": "bnb_event",
                    "solve": "solve-1", "kind": "incumbent", "node": 3,
                    "depth": 2, "objective": 41.5})
@@ -61,8 +61,7 @@ class TestIngest:
         counts = wh.ingest_file(journal)
         # ground truth straight from the journal itself
         job_ends = sum(1 for e in events if e["event"] == "job_end")
-        spans = sum(1 for e in events if e["event"] in ("span_end",
-                                                        "worker_span"))
+        spans = sum(1 for e in events if e["event"] == "span")
         bnb = sum(1 for e in events if e["event"] == "bnb_event")
         assert counts["batches"] == 1
         assert counts["jobs"] == job_ends == 3
@@ -124,6 +123,37 @@ class TestIngest:
         rows = wh.query(
             "SELECT event FROM logs ORDER BY ts")
         assert [r["event"] for r in rows] == ["run.created", "job.retry"]
+        wh.close()
+
+    def test_run_batch_log_lines_all_land_in_logs(self, tmp_path):
+        # run_batch's log context stamps every log record with ``batch``;
+        # the ``level`` key still makes each one a log line.
+        from repro.engine import run_batch
+        from tests.engine.test_telemetry import small_batch
+
+        logfile = tmp_path / "log.jsonl"
+        obs.configure_obslog(path=logfile)
+        try:
+            run_batch(small_batch())
+        finally:
+            obs.configure_obslog()
+        lines = logfile.read_text(encoding="utf-8").splitlines()
+        assert any("batch" in json.loads(line) for line in lines)
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        counts = wh.ingest_file(logfile)
+        assert counts.get("logs") == len(lines) > 0
+        assert wh.counts()["jobs"] == 0
+        wh.close()
+
+    def test_lifecycle_records_without_batch_are_skipped(self, tmp_path):
+        journal = tmp_path / "hand-made.jsonl"
+        write_journal(journal, [
+            {"ts": 1, "event": "batch_start", "name": "x"},
+            {"ts": 2, "event": "job_end", "job": "a", "ok": True},
+            {"ts": 3, "level": "info", "event": "note"},
+        ])
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        assert wh.ingest_file(journal) == {"logs": 1}
         wh.close()
 
     def test_retry_and_timeout_events_roll_into_job_row(self, tmp_path):
@@ -191,7 +221,7 @@ class TestVacuum:
             events = telemetry_events(batch=f"b-{i}")
             for e in events:
                 e["ts"] += i * 100  # stagger start times
-            wh.ingest_events(events, kind="telemetry", source=f"mem-{i}")
+            wh.ingest_events(events, source=f"mem-{i}")
         removed = wh.vacuum(keep_batches=1)
         assert removed["batches"] == 2
         remaining = wh.query("SELECT batch FROM batches")

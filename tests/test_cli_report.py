@@ -168,7 +168,27 @@ class TestCliProfile:
         code = main(["profile", "--trace-out", str(trace)] + self.ARGS)
         assert code == 0
         events = read_events(trace)
-        assert {e["event"] for e in events} == {"span_start", "span_end"}
+        assert {e["event"] for e in events} == {"span"}
+        assert "ilp_mr" in {e["name"] for e in events}
+        assert all(e["uid"] and e["dur"] >= 0 for e in events)
+
+    def test_pool_sweep_jsonl_trace_out_keeps_worker_spans(self, tmp_path,
+                                                           capsys):
+        # The .jsonl trace holds the same span records as the .json one:
+        # the workers' engine.job spans come home through their spools.
+        import os
+
+        from repro.engine import read_events
+
+        trace = tmp_path / "pool-spans.jsonl"
+        code = main(["profile", "--trace-out", str(trace), "--",
+                     "sweep", "--domain", "eps", "--levels", "2e-3,2e-6",
+                     "--backend", "scipy", "--jobs", "2"])
+        assert code == 0
+        jobs = [e for e in read_events(trace)
+                if e["event"] == "span" and e["name"] == "engine.job"]
+        assert len(jobs) == 2
+        assert all(e["pid"] != os.getpid() for e in jobs)
 
     def test_profile_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
