@@ -28,6 +28,14 @@ pieces that make CEGIS-style re-solving cheap — a *warm* start path:
   only after a refactorization, so a dual pivot prices one row, not two;
 * nonbasic variables rest at a finite bound; the ratio test supports the
   *bound flip* move required for bounded variables;
+* the per-column pricing state is kept, not rebuilt per call: the basis
+  as an integer array, a signed direction per column (+1 at the lower
+  bound, -1 at the upper bound, 0 for basic, fixed and free columns), a
+  mask of the nonbasic free columns and the bounds of the basic columns
+  by basis position. It is built when a solve starts and when phase 1
+  pins the artificials; each pivot (and each primal bound flip) updates
+  the entries of the two columns it moves. Pricing, both ratio tests and
+  the feasibility checks read it directly;
 * Dantzig pricing with an automatic switch to Bland's rule — scaled with
   problem size, see :func:`bland_cutover` — to guarantee termination on
   degenerate instances.
@@ -405,6 +413,7 @@ class _BoundedSimplex:
             return LPStatus.INFEASIBLE, iterations
         # Pin artificials at zero so they never re-enter.
         self.ub[self.n_structural :] = 0.0
+        self._index_columns()
         self._evict_artificials()
 
         # Phase 2: real objective on structural columns only.
@@ -435,7 +444,7 @@ class _BoundedSimplex:
         full = np.concatenate(
             [flags.astype(np.int8), np.full(self.m, _AT_LOWER, dtype=np.int8)]
         )
-        basis = [int(j) for j in np.flatnonzero(full == _BASIC)]
+        basis = np.flatnonzero(full == _BASIC)
         if len(basis) != self.m:
             return False
         # Artificials never participate in a warm solve.
@@ -459,6 +468,7 @@ class _BoundedSimplex:
         self.basis = basis
         self.xn = xn
         self.factors = factors
+        self._index_columns()
         self._recompute_xb()
         return True
 
@@ -480,9 +490,32 @@ class _BoundedSimplex:
         self.status_flags = np.concatenate(
             [flags, np.full(self.m, _BASIC, dtype=np.int8)]
         )
-        self.basis: List[int] = list(range(self.n, self.n + self.m))
+        self.basis = np.arange(self.n, self.n + self.m)
         self.factors: Optional[_BasisFactors] = None
         self.xb: Optional[np.ndarray] = None
+        self._index_columns()
+
+    def _index_columns(self) -> None:
+        """Derive the pricing state from the flags, bounds and basis.
+
+        ``direction[j]`` is +1 for a movable nonbasic column at its lower
+        bound, -1 for one at its upper bound, and 0 for basic, fixed and
+        free columns; ``free`` marks the nonbasic free columns (None when
+        the model has no free column); ``basic_lb``/``basic_ub`` are the
+        bounds of the basic columns by basis position. Built here whenever
+        the bounds change; :meth:`_pivot` and the primal bound flip keep it
+        current.
+        """
+        flags, lb, ub = self.status_flags, self.lb, self.ub
+        movable = (flags != _BASIC) & (lb != ub)
+        free = ~np.isfinite(lb) & ~np.isfinite(ub)
+        bounded = movable & ~free
+        self.direction = np.zeros(self.n_total)
+        self.direction[bounded & (flags == _AT_LOWER)] = 1.0
+        self.direction[bounded & (flags == _AT_UPPER)] = -1.0
+        self.free = movable & free if free.any() else None
+        self.basic_lb = lb[self.basis]
+        self.basic_ub = ub[self.basis]
 
     def _warm_solve(self, c: np.ndarray):
         """Dual (or primal phase-2) re-optimization from the installed basis.
@@ -556,24 +589,15 @@ class _BoundedSimplex:
         return c - self.at @ y
 
     def _dual_feasible(self, reduced: np.ndarray, tol: float = 1e-7) -> bool:
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
-        movable = (flags != _BASIC) & (lb != ub)
-        free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
-        if np.any(np.abs(reduced[free]) > tol):
+        free = self.free
+        if free is not None and np.any(np.abs(reduced[free]) > tol):
             return False
-        low = movable & (flags == _AT_LOWER) & ~free
-        if np.any(reduced[low] < -tol):
-            return False
-        up = movable & (flags == _AT_UPPER)
-        return not np.any(reduced[up] > tol)
+        return not np.any(self.direction * reduced < -tol)
 
     def _primal_feasible(self, tol: float = _FEAS_TOL) -> bool:
-        basis = self.basis
-        lo = self.lb[basis]
-        hi = self.ub[basis]
         return bool(
-            np.all(self.xb >= lo - tol) and np.all(self.xb <= hi + tol)
+            np.all(self.xb >= self.basic_lb - tol)
+            and np.all(self.xb <= self.basic_ub + tol)
         )
 
     def _evict_artificials(self) -> None:
@@ -623,13 +647,10 @@ class _BoundedSimplex:
             if entering is None:
                 return LPStatus.OPTIMAL, iteration
 
-            if not math.isfinite(self.lb[entering]) and not math.isfinite(
-                self.ub[entering]
-            ):
+            direction = self.direction[entering]
+            if direction == 0.0:
                 # Free nonbasic variable: move against its reduced cost.
                 direction = -1.0 if reduced[entering] > 0 else 1.0
-            else:
-                direction = 1.0 if self.status_flags[entering] == _AT_LOWER else -1.0
             col = self.factors.ftran(self._column(entering)) * direction
 
             best_t, leaving_pos, leaving_to = self._ratio_test(
@@ -641,14 +662,13 @@ class _BoundedSimplex:
             best_t = max(best_t, 0.0)
             if leaving_pos is None:
                 # Bound flip: entering variable jumps to its other bound.
-                self.status_flags[entering] = (
-                    _AT_UPPER if self.status_flags[entering] == _AT_LOWER else _AT_LOWER
-                )
-                self.xn[entering] = (
-                    self.ub[entering]
-                    if self.status_flags[entering] == _AT_UPPER
-                    else self.lb[entering]
-                )
+                if self.status_flags[entering] == _AT_LOWER:
+                    self.status_flags[entering] = _AT_UPPER
+                    self.xn[entering] = self.ub[entering]
+                else:
+                    self.status_flags[entering] = _AT_LOWER
+                    self.xn[entering] = self.lb[entering]
+                self.direction[entering] = -direction
                 self.xb -= best_t * col
             else:
                 entering_value = self.xn[entering] + best_t * direction
@@ -663,25 +683,21 @@ class _BoundedSimplex:
         return LPStatus.ITERATION_LIMIT, iteration
 
     def _ratio_test(self, entering: int, col: np.ndarray, use_bland: bool):
-        """Max step for the entering variable; vectorized over basic rows."""
-        basis = np.asarray(self.basis)
+        """Max step for the entering variable; vectorized over basic rows.
+
+        A row whose bound in the step's direction is infinite gets an
+        infinite step, the same as a row the step leaves unchanged.
+        """
         xb = self.xb
         t = np.full(self.m, math.inf)
-        to = np.full(self.m, _AT_LOWER, dtype=np.int8)
-
         pos_rows = col > _TOL
-        if np.any(pos_rows):
-            bound = self.lb[basis[pos_rows]]
-            ok = np.isfinite(bound)
-            idx = np.flatnonzero(pos_rows)[ok]
-            t[idx] = np.maximum(0.0, (xb[idx] - bound[ok]) / col[idx])
+        t[pos_rows] = np.maximum(
+            0.0, (xb[pos_rows] - self.basic_lb[pos_rows]) / col[pos_rows]
+        )
         neg_rows = col < -_TOL
-        if np.any(neg_rows):
-            bound = self.ub[basis[neg_rows]]
-            ok = np.isfinite(bound)
-            idx = np.flatnonzero(neg_rows)[ok]
-            t[idx] = np.maximum(0.0, (bound[ok] - xb[idx]) / (-col[idx]))
-            to[idx] = _AT_UPPER
+        t[neg_rows] = np.maximum(
+            0.0, (self.basic_ub[neg_rows] - xb[neg_rows]) / (-col[neg_rows])
+        )
 
         limit = self.ub[entering] - self.lb[entering]
         row_min = t.min(initial=math.inf)
@@ -691,25 +707,18 @@ class _BoundedSimplex:
         ties = np.flatnonzero(t <= row_min + _TOL)
         if use_bland:
             # Bland: smallest leaving variable index for termination.
-            pos = int(ties[np.argmin(basis[ties])])
+            pos = int(ties[np.argmin(self.basis[ties])])
         else:
             # Stability: largest pivot magnitude among the tied rows.
             pos = int(ties[np.argmax(np.abs(col[ties]))])
-        return float(t[pos]), pos, int(to[pos])
+        return float(t[pos]), pos, _AT_UPPER if neg_rows[pos] else _AT_LOWER
 
     def _price(self, reduced: np.ndarray, use_bland: bool) -> Optional[int]:
         """Pick the entering variable (Dantzig, or Bland when anti-cycling)."""
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
-        movable = (flags != _BASIC) & (lb != ub)
-        free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
-        score = np.zeros(self.n_total)
-        if np.any(free):
+        score = -self.direction * reduced
+        free = self.free
+        if free is not None:
             score[free] = np.abs(reduced[free])
-        low = movable & (flags == _AT_LOWER) & ~free
-        score[low] = -reduced[low]
-        up = movable & (flags == _AT_UPPER)
-        score[up] = reduced[up]
         candidates = score > _TOL
         if not np.any(candidates):
             return None
@@ -738,11 +747,9 @@ class _BoundedSimplex:
                     reduced = self._reduced_costs(c)
             except _SingularBasis:
                 return LPStatus.ITERATION_LIMIT, iteration
-            basis = np.asarray(self.basis)
-            lo = self.lb[basis]
-            hi = self.ub[basis]
-            below = np.where(np.isfinite(lo), lo - self.xb, -math.inf)
-            above = np.where(np.isfinite(hi), self.xb - hi, -math.inf)
+            # An infinite bound gives -inf here: never the leaving row.
+            below = self.basic_lb - self.xb
+            above = self.xb - self.basic_ub
             viol = np.maximum(below, above)
             r = int(np.argmax(viol))
             if viol[r] <= _FEAS_TOL:
@@ -758,7 +765,7 @@ class _BoundedSimplex:
             reduced -= (reduced[entering] / alpha[entering]) * alpha
             reduced[entering] = 0.0
             alpha_q = self.factors.ftran(self._column(entering))
-            bound_r = lo[r] if to_lower else hi[r]
+            bound_r = self.basic_lb[r] if to_lower else self.basic_ub[r]
             step = (self.xb[r] - bound_r) / alpha[entering]
             self.xb -= step * alpha_q
             self.xb[r] = self.xn[entering] + step
@@ -777,21 +784,17 @@ class _BoundedSimplex:
         self, reduced: np.ndarray, alpha: np.ndarray, to_lower: bool
     ) -> Optional[int]:
         """Entering column keeping the reduced costs dual feasible."""
-        flags = self.status_flags
-        lb, ub = self.lb, self.ub
-        movable = (flags != _BASIC) & (lb != ub)
-        free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
         # Leaving variable sits below its lower bound (to_lower): its row
         # value must increase, so entering-at-lower needs alpha < 0 and
         # entering-at-upper needs alpha > 0; mirrored when above the upper.
+        signed = self.direction * alpha
         if to_lower:
-            ok_low = movable & (flags == _AT_LOWER) & (alpha < -_PIVOT_TOL)
-            ok_up = movable & (flags == _AT_UPPER) & (alpha > _PIVOT_TOL)
+            candidates = signed < -_PIVOT_TOL
         else:
-            ok_low = movable & (flags == _AT_LOWER) & (alpha > _PIVOT_TOL)
-            ok_up = movable & (flags == _AT_UPPER) & (alpha < -_PIVOT_TOL)
-        ok_free = free & (np.abs(alpha) > _PIVOT_TOL)
-        candidates = ok_low | ok_up | ok_free
+            candidates = signed > _PIVOT_TOL
+        free = self.free
+        if free is not None:
+            candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
         if not np.any(candidates):
             return None
         idx = np.flatnonzero(candidates)
@@ -815,21 +818,31 @@ class _BoundedSimplex:
         ``t`` is the signed step of the entering variable from its resting
         bound; ``entering_to`` is the bound status the *leaving* variable
         lands on (None when evicting a zero-valued artificial in place).
+        Keeps the state :meth:`_index_columns` built current.
         """
         leaving = self.basis[leaving_pos]
-        start = self.xn[entering]
+        lo, hi = self.lb[leaving], self.ub[leaving]
         self.basis[leaving_pos] = entering
+        self.basic_lb[leaving_pos] = self.lb[entering]
+        self.basic_ub[leaving_pos] = self.ub[entering]
         self.status_flags[entering] = _BASIC
-        self.xn[entering] = start + t
+        self.direction[entering] = 0.0
+        self.xn[entering] += t
         if entering_to is None:
             # Artificial eviction at degenerate step: leaving var rests at 0.
-            self.status_flags[leaving] = _AT_LOWER
-            self.xn[leaving] = self.lb[leaving] if math.isfinite(self.lb[leaving]) else 0.0
+            entering_to = _AT_LOWER
+            self.xn[leaving] = lo if math.isfinite(lo) else 0.0
         else:
-            self.status_flags[leaving] = entering_to
-            self.xn[leaving] = (
-                self.lb[leaving] if entering_to == _AT_LOWER else self.ub[leaving]
-            )
+            self.xn[leaving] = lo if entering_to == _AT_LOWER else hi
+        self.status_flags[leaving] = entering_to
+        free = not (math.isfinite(lo) or math.isfinite(hi))
+        if free or lo == hi:
+            self.direction[leaving] = 0.0
+        else:
+            self.direction[leaving] = 1.0 if entering_to == _AT_LOWER else -1.0
+        if self.free is not None:
+            self.free[entering] = False
+            self.free[leaving] = free
 
 
 def _unit(size: int, index: int) -> np.ndarray:

@@ -443,8 +443,11 @@ class TelemetryWarehouse:
 
         ``max_age`` drops batches (and their rows in every child table)
         whose newest timestamp is older than ``now - max_age`` seconds,
-        plus logs older than the cutoff; ``keep_batches`` keeps only the
-        N most recent batches. Returns deleted-row counts per table.
+        plus the rows without a batch that are older than the cutoff:
+        logs, and the spans, metric deltas and B&B events of a raw worker
+        spool. ``keep_batches`` keeps only the N most recent batches; it
+        never touches rows without a batch. Returns deleted-row counts
+        per table.
         """
         deleted: Dict[str, int] = {}
         doomed: List[str] = []
@@ -489,11 +492,19 @@ class TelemetryWarehouse:
                     if total:
                         deleted[table] = total
                 if max_age is not None:
-                    cur = self._conn.execute(
-                        "DELETE FROM logs WHERE ts < ?", (now - max_age,)
-                    )
-                    if cur.rowcount:
-                        deleted["logs"] = cur.rowcount
+                    # Rows without a batch age out on their own timestamp.
+                    orphans = "batch IS NULL AND ts < ?"
+                    for table, where in (("spans", orphans),
+                                         ("metric_deltas", orphans),
+                                         ("bnb_events", orphans),
+                                         ("logs", "ts < ?")):
+                        cur = self._conn.execute(
+                            f"DELETE FROM {table} WHERE {where}", (cutoff,)
+                        )
+                        if cur.rowcount:
+                            deleted[table] = (
+                                deleted.get(table, 0) + cur.rowcount
+                            )
             self._conn.execute("VACUUM")
         return deleted
 

@@ -1,6 +1,9 @@
 """Unit and property tests for the bounded-variable simplex engine."""
 
 import math
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from repro.ilp import LPStatus, solve_lp
+from repro.bench import _make_cover
+from repro.eps import build_eps_template, eps_spec
+from repro.ilp import BnBOptions, LPStatus, solve_lp, solve_milp
+from repro.ilp.simplex import (
+    _AT_LOWER, _AT_UPPER, _BASIC, _PIVOT_TOL, _TOL, _BoundedSimplex,
+)
 
 INF = math.inf
 
@@ -237,3 +245,195 @@ class TestNumericalFailures:
         clean = _solve(*lp)
         assert clean.status is LPStatus.OPTIMAL
         assert clean.objective == pytest.approx(1.0)
+
+
+# -- the pricing state the simplex keeps current at each pivot ---------------
+#
+# The reference formulas below rebuild the per-column masks from the status
+# flags and bounds on every call, as the simplex did before it kept them.
+
+
+def _reference_masks(s):
+    flags, lb, ub = s.status_flags, s.lb, s.ub
+    movable = (flags != _BASIC) & (lb != ub)
+    free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
+    low = movable & (flags == _AT_LOWER) & ~free
+    up = movable & (flags == _AT_UPPER)
+    return movable, free, low, up
+
+
+def _reference_price(s, reduced, use_bland):
+    _, free, low, up = _reference_masks(s)
+    score = np.zeros(s.n_total)
+    if np.any(free):
+        score[free] = np.abs(reduced[free])
+    score[low] = -reduced[low]
+    score[up] = reduced[up]
+    candidates = score > _TOL
+    if not np.any(candidates):
+        return None
+    if use_bland:
+        return int(np.argmax(candidates))
+    return int(np.argmax(score))
+
+
+def _reference_dual_feasible(s, reduced, tol):
+    _, free, low, up = _reference_masks(s)
+    return not (np.any(np.abs(reduced[free]) > tol)
+                or np.any(reduced[low] < -tol)
+                or np.any(reduced[up] > tol))
+
+
+def _reference_dual_ratio_test(s, reduced, alpha, to_lower):
+    movable, free, _, _ = _reference_masks(s)
+    flags = s.status_flags
+    if to_lower:
+        ok_low = movable & (flags == _AT_LOWER) & (alpha < -_PIVOT_TOL)
+        ok_up = movable & (flags == _AT_UPPER) & (alpha > _PIVOT_TOL)
+    else:
+        ok_low = movable & (flags == _AT_LOWER) & (alpha > _PIVOT_TOL)
+        ok_up = movable & (flags == _AT_UPPER) & (alpha < -_PIVOT_TOL)
+    candidates = ok_low | ok_up | (free & (np.abs(alpha) > _PIVOT_TOL))
+    if not np.any(candidates):
+        return None
+    idx = np.flatnonzero(candidates)
+    ratios = np.abs(reduced[idx]) / np.abs(alpha[idx])
+    ties = idx[ratios <= ratios.min() + _TOL]
+    return int(ties[np.argmax(np.abs(alpha[ties]))])
+
+
+def _assert_kept_state_is_current(s, seen):
+    """The kept state equals a rebuild from flags, bounds and basis."""
+    _, free, low, up = _reference_masks(s)
+    direction = np.zeros(s.n_total)
+    direction[low] = 1.0
+    direction[up] = -1.0
+    assert isinstance(s.basis, np.ndarray) and s.basis.dtype.kind == "i"
+    assert np.all(s.status_flags[s.basis] == _BASIC)
+    assert np.array_equal(s.direction, direction)
+    has_free = np.any(~np.isfinite(s.lb) & ~np.isfinite(s.ub))
+    assert (s.free is None) == (not has_free)
+    if s.free is not None:
+        assert np.array_equal(s.free, free)
+    assert np.array_equal(s.basic_lb, s.lb[s.basis])
+    assert np.array_equal(s.basic_ub, s.ub[s.basis])
+    seen["checks"] += 1
+    seen["free"] += int(free.any())
+    seen["at_upper"] += int(up.any())
+
+
+@contextmanager
+def _kept_state_check():
+    """At every pricing, dual ratio test and dual feasibility call, check
+    the kept state and the answer against the reference formulas; yields
+    a Counter of the checks made and of the cases they covered."""
+    seen = Counter()
+    real_price = _BoundedSimplex._price
+    real_dual_feasible = _BoundedSimplex._dual_feasible
+    real_dual_ratio_test = _BoundedSimplex._dual_ratio_test
+    real_ratio_test = _BoundedSimplex._ratio_test
+    real_pivot = _BoundedSimplex._pivot
+
+    def price(self, reduced, use_bland):
+        _assert_kept_state_is_current(self, seen)
+        choice = real_price(self, reduced, use_bland)
+        assert choice == _reference_price(self, reduced, use_bland)
+        return choice
+
+    def dual_feasible(self, reduced, tol=1e-7):
+        _assert_kept_state_is_current(self, seen)
+        verdict = real_dual_feasible(self, reduced, tol)
+        assert verdict == _reference_dual_feasible(self, reduced, tol)
+        return verdict
+
+    def dual_ratio_test(self, reduced, alpha, to_lower):
+        _assert_kept_state_is_current(self, seen)
+        choice = real_dual_ratio_test(self, reduced, alpha, to_lower)
+        assert choice == _reference_dual_ratio_test(
+            self, reduced, alpha, to_lower)
+        return choice
+
+    def ratio_test(self, entering, col, use_bland):
+        step, leaving_pos, leaving_to = real_ratio_test(
+            self, entering, col, use_bland)
+        if leaving_pos is None and math.isfinite(step):
+            seen["bound_flip"] += 1
+        return step, leaving_pos, leaving_to
+
+    def pivot(self, entering, leaving_pos, t, entering_to):
+        if entering_to is None:
+            seen["eviction"] += 1
+        return real_pivot(self, entering, leaving_pos, t, entering_to)
+
+    with mock.patch.multiple(
+        _BoundedSimplex, _price=price, _dual_feasible=dual_feasible,
+        _dual_ratio_test=dual_ratio_test, _ratio_test=ratio_test,
+        _pivot=pivot,
+    ):
+        yield seen
+
+
+@st.composite
+def mixed_lp(draw):
+    """An LP with <=, >= and == rows, free and upper-bounded columns,
+    feasible at an integer point, plus one bound to tighten after the
+    first solve."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    coef = st.integers(-4, 4)
+    kinds = [draw(st.sampled_from(["box", "box", "upper", "free"]))
+             for _ in range(n)]
+    lb = np.array([-INF if k in ("upper", "free") else 0.0 for k in kinds])
+    ub = np.array([INF if k == "free" else float(draw(st.integers(1, 5)))
+                   for k in kinds])
+    x0 = np.array([draw(st.integers(-3, 0)) if k == "upper"
+                   else draw(st.integers(-3, 3)) if k == "free"
+                   else draw(st.integers(0, int(u)))
+                   for k, u in zip(kinds, ub)], dtype=float)
+    a = np.array([[draw(coef) for _ in range(n)] for _ in range(m)], float)
+    senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
+    slack = np.array([draw(st.integers(0, 3)) for _ in range(m)], float)
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "==": 0.0}[s] for s in senses])
+    b = a @ x0 + sign * slack
+    c = np.array([draw(coef) for _ in range(n)], float)
+    var = draw(st.integers(0, n - 1))
+    return c, a, senses, b, lb, ub, var
+
+
+class TestKeptPricingState:
+    """The state ``_pivot`` keeps current equals a rebuild from the flags,
+    bounds and basis at every pricing, dual ratio test and dual
+    feasibility call, and each call chooses what the rebuilt masks do."""
+
+    def test_eps_bnb_search(self):
+        spec = eps_spec(build_eps_template(num_generators=2),
+                        reliability_target=1e-4)
+        form = spec.build_encoder().model.to_matrix_form()
+        with _kept_state_check() as seen:
+            out = solve_milp(form, BnBOptions())
+        assert out.status == "optimal"
+        assert seen["checks"] > 0
+
+    def test_cover_bnb_search(self):
+        form = _make_cover(40, 60, seed=40).to_matrix_form()
+        with _kept_state_check() as seen:
+            out = solve_milp(form, BnBOptions())
+        assert out.status == "optimal"
+        assert seen["checks"] > 0
+
+    def test_mixed_lps_cold_then_warm(self):
+        @given(mixed_lp())
+        @settings(max_examples=150, deadline=None)
+        def cold_then_warm(problem):
+            c, a, senses, b, lb, ub, var = problem
+            base = solve_lp(c, a, senses, b, lb, ub, want_basis=True)
+            if base.basis is None:
+                return
+            tight_ub = ub.copy()
+            tight_ub[var] = max(lb[var], math.floor(base.x[var]) - 1.0)
+            solve_lp(c, a, senses, b, lb, tight_ub, warm_basis=base.basis)
+
+        with _kept_state_check() as seen:
+            cold_then_warm()
+        for case in ("free", "bound_flip", "at_upper", "eviction"):
+            assert seen[case] > 0, (case, seen)

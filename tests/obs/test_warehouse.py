@@ -1,6 +1,7 @@
 """Tests for the SQLite telemetry warehouse (`repro.obs.warehouse`)."""
 
 import json
+import time
 
 import pytest
 
@@ -228,6 +229,37 @@ class TestVacuum:
         assert [r["batch"] for r in remaining] == ["b-2"]
         # child tables swept too
         assert wh.counts()["jobs"] == 2
+        wh.close()
+
+    def test_max_age_prunes_rows_without_a_batch(self, tmp_path):
+        # A raw worker spool: its records carry no batch id.
+        old = time.time() - 3600
+        spool = [
+            {"ts": old, "event": "span", "uid": "7.1", "parent": None,
+             "name": "engine.job", "pid": 7, "dur": 1.0},
+            {"ts": old, "event": "metrics_snapshot", "worker_pid": 7,
+             "metrics": {"engine.jobs.completed": {"kind": "counter",
+                                                   "value": 1}}},
+            {"ts": old, "event": "bnb_event", "solve": "s-1",
+             "kind": "incumbent", "node": 1, "depth": 0, "objective": 2.0},
+            {"ts": old, "level": "info", "event": "job.done"},
+        ]
+        fresh = dict(spool[0], ts=time.time(), uid="7.2")
+        journal = telemetry_events(batch="recent")
+        for e in journal:
+            e["ts"] += time.time()
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        wh.ingest_events(spool + [fresh], source="spool")
+        wh.ingest_events(journal, source="journal")
+        assert wh.vacuum(keep_batches=1) == {}  # batch-less rows untouched
+        removed = wh.vacuum(max_age=60)
+        assert removed == {"spans": 1, "metric_deltas": 1, "bnb_events": 1,
+                           "logs": 1}
+        counts = wh.counts()
+        # The fresh spool span and the recent batch's rows stay.
+        assert counts["spans"] == 2 and counts["bnb_events"] == 1
+        assert counts["metric_deltas"] == counts["logs"] == 0
+        assert counts["batches"] == 1 and counts["jobs"] == 2
         wh.close()
 
 

@@ -356,3 +356,26 @@ class TestConcurrencyRows:
                         "all_costs_identical": True},
         }
         assert validate_bench_document(doc) == []
+
+
+class TestWarmLpRow:
+    def test_each_arm_times_the_median_of_repeated_solves(self, monkeypatch):
+        from repro import bench
+
+        calls = {"first": 0, "cold": 0, "warm": 0}
+        real = bench.solve_lp
+
+        def counting(*args, warm_basis=None, want_basis=False, **kwargs):
+            arm = ("warm" if warm_basis is not None
+                   else "first" if want_basis else "cold")
+            calls[arm] += 1
+            return real(*args, warm_basis=warm_basis, want_basis=want_basis,
+                        **kwargs)
+
+        monkeypatch.setattr(bench, "solve_lp", counting)
+        row = bench._warm_lp_row(2)
+        assert bench._WARM_LP_REPEATS > 1
+        assert calls == {"first": 1, "cold": bench._WARM_LP_REPEATS,
+                         "warm": bench._WARM_LP_REPEATS}
+        assert bench._ROW_REQUIRED["warm_lp"] <= set(row)
+        assert row["warm_started"] and row["objectives_agree"]
