@@ -539,6 +539,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import JobQueue, RunStore, ServiceServer, resume_interrupted
 
+    alerts = _build_alert_engine(args)
     store = RunStore(args.runs_dir) if args.runs_dir else RunStore()
     if args.warehouse:
         obs.configure_auto_ingest(args.warehouse)
@@ -558,7 +559,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   + ", ".join(r.run_id for r in resumed))
         else:
             print("no interrupted runs to resume")
-    alerts = _build_alert_engine(args)
     server = ServiceServer(queue, host=args.host, port=args.port,
                            alerts=alerts).start()
     print(f"service: {server.url} "
@@ -793,19 +793,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown obs action {args.obs_action!r}")
 
 
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live fleet dashboard over a coordinator's HTTP endpoints."""
-    from .obs.dashboard import run_dashboard
-
-    url = args.url or f"http://127.0.0.1:{args.port}"
-    return run_dashboard(
-        url,
-        interval=args.interval,
-        iterations=args.iterations,
-        once=args.once,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="archex",
@@ -832,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "BYTES (0 = never rotate)")
         p.add_argument("--log-backups", type=int, default=3, metavar="N",
                        help="rotated --log files to keep (default 3)")
-        p.add_argument("--alerts", default=None, metavar="FILE",
+        p.add_argument("--alerts", type=_alert_rules, default=None,
+                       metavar="FILE",
                        help="alert rules (TOML) evaluated while --serve "
                        "runs; firing alerts appear at /api/alerts and "
                        "degrade /healthz (default: .archex/alerts.toml "
@@ -1047,7 +1035,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "BYTES (0 = never rotate)")
     p_sv.add_argument("--log-backups", type=int, default=3, metavar="N",
                       help="rotated --log files to keep (default 3)")
-    p_sv.add_argument("--alerts", default=None, metavar="FILE",
+    p_sv.add_argument("--alerts", type=_alert_rules, default=None,
+                      metavar="FILE",
                       help="alert rules (TOML) the service evaluates; "
                       "firing alerts appear at /api/alerts and degrade "
                       "/healthz (default: .archex/alerts.toml when present)")
@@ -1175,28 +1164,12 @@ def build_parser() -> argparse.ArgumentParser:
     ob_vc.add_argument("--keep-batches", type=int, default=None, metavar="N",
                        help="keep only the N most recent batches")
     for ob_p in (ob_in, ob_qr, ob_vc):
-        ob_p.add_argument("--warehouse", default=".archex/warehouse.db",
+        # Also accepted after the action; SUPPRESS keeps an omitted copy
+        # from overwriting the value given before it.
+        ob_p.add_argument("--warehouse", default=argparse.SUPPRESS,
                           metavar="DB", help=argparse.SUPPRESS)
         ob_p.set_defaults(func=cmd_obs)
     p_ob.set_defaults(func=cmd_obs)
-
-    p_tp = sub.add_parser(
-        "top",
-        help="live fleet dashboard (curses) over a coordinator's HTTP API",
-    )
-    p_tp.add_argument("--url", default=None, metavar="URL",
-                      help="coordinator base URL (e.g. http://host:8181); "
-                      "wins over --port")
-    p_tp.add_argument("--port", type=int, default=8181,
-                      help="local coordinator port when --url is not given")
-    p_tp.add_argument("--interval", type=float, default=2.0,
-                      metavar="SECONDS", help="refresh period")
-    p_tp.add_argument("--once", action="store_true",
-                      help="print one plain-text frame and exit (no tty "
-                      "needed; exit 1 when the coordinator is unreachable)")
-    p_tp.add_argument("--iterations", type=int, default=None,
-                      metavar="N", help=argparse.SUPPRESS)
-    p_tp.set_defaults(func=cmd_top)
 
     p_pr = sub.add_parser(
         "profile",
@@ -1233,25 +1206,38 @@ def _run_sampled(args: argparse.Namespace, inner: Callable[[argparse.Namespace],
     return code
 
 
+def _alert_rules(path) -> list:
+    """The rules of a TOML file (the ``--alerts`` type); a malformed rule
+    exits with its error before the command serves or runs anything."""
+    from .obs.alerts import load_alert_rules
+
+    try:
+        rules = load_alert_rules(path)
+    except ValueError as exc:
+        raise SystemExit(f"error: {path}: {exc}")
+    if not rules:
+        print(f"warning: no alert rules in {path}", file=sys.stderr)
+    return rules
+
+
 def _build_alert_engine(args: argparse.Namespace):
     """An AlertEngine from ``--alerts`` (or the default rules file)."""
-    from .obs.alerts import DEFAULT_RULES_PATH, AlertEngine, load_alert_rules
+    from .obs.alerts import DEFAULT_RULES_PATH, AlertEngine
 
-    explicit = getattr(args, "alerts", None)
-    if explicit:
-        rules = load_alert_rules(explicit)
-        if not rules:
-            print(f"warning: no alert rules in {explicit}", file=sys.stderr)
-    elif DEFAULT_RULES_PATH.exists():
-        rules = load_alert_rules(DEFAULT_RULES_PATH)
-    else:
-        return None
+    rules = getattr(args, "alerts", None)
+    if rules is None and DEFAULT_RULES_PATH.exists():
+        rules = _alert_rules(DEFAULT_RULES_PATH)
     return AlertEngine(rules) if rules else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    server = None
+    if getattr(args, "serve", None) is not None:
+        # Built before anything is armed: a malformed rules file exits here.
+        server = obs.ObsServer(port=args.serve,
+                               alerts=_build_alert_engine(args))
     if getattr(args, "auto_scipy_vars", None) is not None or getattr(
         args, "auto_scipy_constrs", None
     ) is not None:
@@ -1267,10 +1253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if getattr(args, "warehouse", None) and args.func is not cmd_obs:
         obs.configure_auto_ingest(args.warehouse)
-    server = None
-    if getattr(args, "serve", None) is not None:
-        server = obs.ObsServer(port=args.serve,
-                               alerts=_build_alert_engine(args))
+    if server is not None:
         server.start()
         print(f"observability server: {server.url} "
               "(/metrics /runs /healthz /api/alerts)", file=sys.stderr)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
+import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -106,7 +107,10 @@ class ShardedBackend:
             return int(meta["shards"])
         except (OSError, ValueError, KeyError):
             pass
-        tmp = meta_path.with_suffix(".json.tmp")
+        # A temp name of its own per writer: with one shared name, a peer
+        # opening the same fresh directory could rename this writer's
+        # file away before its own rename ran.
+        tmp = meta_path.with_name(f"{SHARDS_META}.{uuid.uuid4().hex}.tmp")
         tmp.write_text(
             json.dumps({"version": 1, "shards": requested}) + "\n",
             encoding="utf-8",

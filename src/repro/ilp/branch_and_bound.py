@@ -355,12 +355,6 @@ def _solve_milp_search(
                     incumbent_x = _snap(res.x, int_mask)
                     stats.incumbent_updates += 1
                     seed_active = False
-                    if obs.enabled():
-                        # Live gauge the `repro top` incumbent trail polls
-                        # while a long solve is still running.
-                        obs.gauge("ilp.bnb.incumbent_objective").set(
-                            float(incumbent_obj)
-                        )
                     if emitter is not None:
                         emitter.emit(
                             "incumbent", node=stats.nodes,

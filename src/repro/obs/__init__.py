@@ -23,10 +23,12 @@ span traces. A finished span has one record,
 :func:`span_record`, written as a ``span`` event wherever it is stored,
 and the warehouse (:mod:`repro.obs.warehouse`) ingests that one shape.
 
-Since PR 5 the layer is also *live*: a stdlib HTTP server
+The layer is also *live*: a stdlib HTTP server
 (:mod:`repro.obs.server`) exposes ``/metrics`` (Prometheus text
 exposition), ``/runs`` (in-flight synthesis/batch snapshots from the
-:class:`RunRegistry`), and ``/healthz`` while a sweep runs; structured
+:class:`RunRegistry`), ``/healthz`` and ``/api/alerts`` while a sweep
+runs, where threshold alert rules (:mod:`repro.obs.alerts`) compare a
+metric or a ``/healthz`` field against a limit; structured
 JSON logs (:mod:`repro.obs.obslog`) carry run/job/span correlation ids;
 a wall-clock sampling profiler (:mod:`repro.obs.sampling`) exports
 flamegraph-ready collapsed stacks; and pool and queue workers spool
@@ -72,13 +74,6 @@ from .export import (
     stitch_chrome_trace,
     stitched_trace_events,
     write_chrome_trace,
-)
-from .dashboard import (
-    DashboardClient,
-    build_dashboard_model,
-    parse_prometheus,
-    render_dashboard,
-    run_dashboard,
 )
 from .metrics import (
     DEFAULT_BUCKET_BOUNDS,
@@ -158,7 +153,6 @@ __all__ = [
     "Counter",
     "DEFAULT_BUCKET_BOUNDS",
     "DEFAULT_WAREHOUSE_PATH",
-    "DashboardClient",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -181,7 +175,6 @@ __all__ = [
     "add_health_source",
     "add_observer",
     "auto_ingest_path",
-    "build_dashboard_model",
     "build_profile",
     "configure_auto_ingest",
     "configure_obslog",
@@ -206,14 +199,11 @@ __all__ = [
     "observed",
     "obslog_enabled",
     "parse_alert_rules",
-    "parse_prometheus",
     "prometheus_name",
     "quantile_from_buckets",
     "quantile_from_snapshot",
     "read_log",
     "registry",
-    "render_dashboard",
-    "run_dashboard",
     "remove_health_source",
     "remove_observer",
     "render_prometheus",

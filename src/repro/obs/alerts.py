@@ -2,51 +2,44 @@
 
 Operators describe what "trouble" looks like in ``.archex/alerts.toml``;
 the :class:`AlertEngine` evaluates the rules against the process-global
-metrics registry, the run registry, and the registered ``/healthz``
-sources, and the ObsServer background loop re-evaluates periodically.
-Firing alerts surface in three places at once: ``GET /api/alerts`` (for
-dashboards, including ``repro top``), the ``/healthz`` document (the
-``alerts`` source reports ``degraded: true``, flipping the probe's
-top-level status), and the structured obslog (``alert.fired`` /
+metrics registry and the registered ``/healthz`` sources, and the
+ObsServer background loop re-evaluates periodically. Firing alerts
+surface in three places at once: ``GET /api/alerts``, the ``/healthz``
+document (the ``alerts`` source reports ``degraded: true``, flipping the
+probe's top-level status), and the structured obslog (``alert.fired`` /
 ``alert.resolved`` edge events).
 
-Rule types (``type =`` in each ``[[rule]]`` table):
+There is one rule type, ``threshold`` (``type =`` may be left out). It
+compares a metric (``metric = "engine.jobs.completed"``; histogram names
+take a statistic suffix — ``engine.job.seconds.p95``) or a ``/healthz``
+field (``source = "health"``, ``key = "queue.queue_depth"``) against
+``value`` with ``op``. Two health fields catch hung work:
 
-``threshold``
-    Compare a metric (``metric = "engine.jobs.completed"``; histogram
-    names take a statistic suffix — ``engine.job.seconds.p95``) or a
-    ``/healthz`` field (``source = "health"``, ``key =
-    "queue.queue_depth"``) against ``value`` with ``op``. A queue lease
-    older than its ttl — a worker died holding it — is ``key =
-    "queue.oldest_lease_age"``, ``op = ">"``, ``value = <ttl>``.
-``rate_of_change``
-    Per-second growth of a counter/gauge over a trailing ``window``
-    seconds exceeds ``threshold``.
-``slo_burn``
-    Error-budget burn rate: the failure ratio ``bad / total`` (two
-    counters) over the trailing window, divided by the budget
-    ``1 - objective``, exceeds ``burn``. A burn rate of 1.0 spends the
-    budget exactly at the objective's pace; 10x eats a month's budget in
-    three days.
-``heartbeat_silence``
-    An active registered run has not updated its progress for ``window``
-    seconds — a hung loop that still holds its registration.
-``bench_sentinel``
-    The newest entry of a ``BENCH_history.jsonl`` series regresses
-    against the median/MAD baseline (:func:`repro.bench.compare_history`).
+* ``queue.oldest_lease_age`` — seconds since the stalest queue lease's
+  heartbeat; above the lease ttl, a worker died holding it;
+* ``runs.oldest_update_age`` — seconds since the oldest active run last
+  reported progress (absent while no run is active); a hung loop that
+  still holds its registration.
 
-Each rule fires at most one alert per evaluation — the acceptance
-contract dashboards rely on to count incidents, not spam.
+Questions over a trailing window (job rate, retry or failure ratio) are
+warehouse SQL over the ``jobs`` table (``repro obs query``), and bench
+regressions are ``repro bench --compare``. A rule is checked when it is
+built: an unknown type, key or op, or a missing ``value``, fails the
+load with the rule's name.
+
+Each rule fires at most one alert per breach, so ``obs.alerts.fired``
+counts incidents, not evaluations.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, NoReturn, Optional, Tuple, Union,
+)
 
 from . import obslog as _obslog
 from .metrics import (
@@ -66,13 +59,16 @@ __all__ = [
 #: Default rules file, next to the run store and warehouse.
 DEFAULT_RULES_PATH = Path(".archex") / "alerts.toml"
 
-RULE_TYPES = (
-    "threshold",
-    "rate_of_change",
-    "slo_burn",
-    "heartbeat_silence",
-    "bench_sentinel",
-)
+RULE_TYPE = "threshold"
+
+#: What each retired rule type is written as now.
+_REPLACED = {
+    "heartbeat_silence": 'a threshold rule with source = "health" and'
+                         ' key = "runs.oldest_update_age"',
+    "rate_of_change": "warehouse SQL over the jobs table (repro obs query)",
+    "slo_burn": "warehouse SQL over the jobs table (repro obs query)",
+    "bench_sentinel": "repro bench --compare",
+}
 
 SEVERITIES = ("info", "warning", "critical")
 
@@ -85,6 +81,9 @@ _OPS: Dict[str, Callable[[float, float], bool]] = {
     "!=": lambda a, b: a != b,
 }
 
+#: The keys a rule's ``params`` may hold.
+_PARAMS = ("metric", "source", "key", "op", "value")
+
 #: Histogram statistic suffixes accepted on ``metric`` specs.
 _STATS = ("p50", "p90", "p95", "p99", "mean", "count", "sum", "min", "max",
           "value")
@@ -92,7 +91,8 @@ _STATS = ("p50", "p90", "p95", "p99", "mean", "count", "sum", "min", "max",
 
 @dataclass
 class AlertRule:
-    """One declarative rule; ``params`` holds the type-specific knobs."""
+    """One threshold rule: ``params`` holds ``metric`` (or ``source =
+    "health"`` with ``key``), ``op`` (default ``>``) and ``value``."""
 
     name: str
     type: str
@@ -101,16 +101,38 @@ class AlertRule:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.type not in RULE_TYPES:
-            raise ValueError(
-                f"unknown alert rule type {self.type!r} for {self.name!r};"
-                f" choose from {RULE_TYPES}"
-            )
+        if self.type != RULE_TYPE:
+            use = _REPLACED.get(self.type, f"type = {RULE_TYPE!r}")
+            self._reject(f"unknown type {self.type!r}; use {use}")
         if self.severity not in SEVERITIES:
-            raise ValueError(
-                f"unknown severity {self.severity!r} for {self.name!r};"
-                f" choose from {SEVERITIES}"
-            )
+            self._reject(f"unknown severity {self.severity!r};"
+                         f" choose from {SEVERITIES}")
+        p = self.params
+        for key in p:
+            if key not in _PARAMS:
+                self._reject(f"unknown key {key!r}; choose from {_PARAMS}")
+        if p.get("op", ">") not in _OPS:
+            self._reject(f"key 'op' is {p['op']!r};"
+                         f" choose from {sorted(_OPS)}")
+        if "value" not in p:
+            self._reject("missing key 'value', the limit")
+        if isinstance(p["value"], bool) or \
+                not isinstance(p["value"], (int, float)):
+            self._reject(f"key 'value' must be a number, got {p['value']!r}")
+        if ("metric" in p) == ("source" in p or "key" in p):
+            self._reject("set exactly one of key 'metric' or"
+                         " source = \"health\" with key 'key'")
+        if "metric" not in p and p.get("source") != "health":
+            self._reject(f"key 'source' must be \"health\","
+                         f" got {p.get('source')!r}")
+        spec = p.get("metric", p.get("key"))
+        if not isinstance(spec, str) or not spec:
+            which = "metric" if "metric" in p else "key"
+            self._reject(f"key {which!r} must be a non-empty string,"
+                         f" got {spec!r}")
+
+    def _reject(self, problem: str) -> NoReturn:
+        raise ValueError(f"alert rule {self.name!r}: {problem}")
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -165,19 +187,15 @@ def _resolve_health(doc: Dict[str, Any], key: str) -> Any:
 
 
 class _RuleState:
-    """Per-rule evaluation state: trailing samples and the firing edge."""
+    """Per-rule firing edge."""
 
-    __slots__ = ("samples", "firing", "since", "message", "value",
-                 "bench_mtime", "bench_verdict")
+    __slots__ = ("firing", "since", "message", "value")
 
     def __init__(self) -> None:
-        self.samples: Deque[Tuple[float, float]] = deque()
         self.firing = False
         self.since: Optional[float] = None
         self.message = ""
         self.value: Optional[float] = None
-        self.bench_mtime: Optional[float] = None
-        self.bench_verdict: Optional[Tuple[bool, str, Optional[float]]] = None
 
 
 class AlertEngine:
@@ -187,12 +205,10 @@ class AlertEngine:
         self,
         rules: List[AlertRule],
         metrics=None,
-        runs=None,
         health: Optional[Callable[[], Dict[str, Any]]] = None,
     ) -> None:
         self.rules = list(rules)
         self._metrics = metrics
-        self._runs = runs
         self._health = health
         self._states = {rule.name: _RuleState() for rule in self.rules}
         self._lock = threading.Lock()
@@ -224,7 +240,7 @@ class AlertEngine:
                 state = self._states[rule.name]
                 try:
                     firing, message, value = self._evaluate_rule(
-                        rule, state, snapshot, health, now
+                        rule, snapshot, health
                     )
                 except Exception as exc:
                     firing, message, value = False, "", None
@@ -263,154 +279,27 @@ class AlertEngine:
         state.message = message
         state.value = value
 
+    @staticmethod
     def _evaluate_rule(
-        self,
-        rule: AlertRule,
-        state: _RuleState,
-        snapshot: Dict[str, Dict[str, Any]],
-        health: Dict[str, Any],
-        now: float,
-    ) -> Tuple[bool, str, Optional[float]]:
-        p = rule.params
-        if rule.type == "threshold":
-            return self._eval_threshold(rule, snapshot, health)
-        if rule.type == "rate_of_change":
-            metric = str(p["metric"])
-            window = float(p.get("window", 60.0))
-            threshold = float(p["threshold"])
-            value = _resolve_metric(snapshot, metric)
-            if value is None:
-                state.samples.clear()
-                return False, "", None
-            state.samples.append((now, value))
-            while state.samples and state.samples[0][0] < now - window:
-                state.samples.popleft()
-            if len(state.samples) < 2:
-                return False, "", None
-            t0, v0 = state.samples[0]
-            span = now - t0
-            rate = (value - v0) / span if span > 0 else 0.0
-            if abs(rate) > threshold:
-                return (
-                    True,
-                    f"{metric} changing {rate:+.4g}/s over {span:.0f}s"
-                    f" (threshold {threshold:g}/s)",
-                    rate,
-                )
-            return False, "", rate
-        if rule.type == "slo_burn":
-            bad = _resolve_metric(snapshot, str(p["bad"]))
-            total = _resolve_metric(snapshot, str(p["total"]))
-            window = float(p.get("window", 300.0))
-            objective = float(p.get("objective", 0.99))
-            burn_limit = float(p.get("burn", 1.0))
-            if bad is None or total is None:
-                state.samples.clear()
-                return False, "", None
-            state.samples.append((now, bad, total))  # type: ignore[arg-type]
-            while state.samples and state.samples[0][0] < now - window:
-                state.samples.popleft()
-            first = state.samples[0]
-            d_bad = bad - first[1]
-            d_total = total - first[2]  # type: ignore[misc]
-            if d_total <= 0:
-                return False, "", 0.0
-            budget = max(1.0 - objective, 1e-12)
-            burn = (d_bad / d_total) / budget
-            if burn > burn_limit:
-                return (
-                    True,
-                    f"error budget burning {burn:.2f}x (objective"
-                    f" {objective:g}, {d_bad:.0f}/{d_total:.0f} bad over"
-                    f" {now - first[0]:.0f}s)",
-                    burn,
-                )
-            return False, "", burn
-        if rule.type == "heartbeat_silence":
-            window = float(p.get("window", 120.0))
-            from .server import run_registry as _run_registry
-
-            runs = self._runs if self._runs is not None else _run_registry()
-            silent = []
-            for run in runs.active():
-                updated = run.get("updated_at") or run.get("started_at")
-                if isinstance(updated, (int, float)) and \
-                        now - updated > window:
-                    silent.append((run.get("run_id", "?"), now - updated))
-            if silent:
-                run_id, age = max(silent, key=lambda item: item[1])
-                return (
-                    True,
-                    f"{len(silent)} run(s) silent > {window:g}s"
-                    f" (worst: {run_id} at {age:.0f}s)",
-                    age,
-                )
-            return False, "", None
-        if rule.type == "bench_sentinel":
-            return self._eval_bench(rule, state)
-        raise ValueError(f"unhandled rule type {rule.type!r}")
-
-    def _eval_threshold(
-        self,
         rule: AlertRule,
         snapshot: Dict[str, Dict[str, Any]],
         health: Dict[str, Any],
     ) -> Tuple[bool, str, Optional[float]]:
         p = rule.params
-        op = str(p.get("op", ">"))
-        if op not in _OPS:
-            raise ValueError(f"unknown op {op!r}; choose from {sorted(_OPS)}")
-        limit = float(p["value"])
-        if p.get("source") == "health":
-            spec = str(p["key"])
+        op = p.get("op", ">")
+        limit = p["value"]
+        if "metric" in p:
+            spec = p["metric"]
+            value = _resolve_metric(snapshot, spec)
+        else:
+            spec = p["key"]
             raw = _resolve_health(health, spec)
             value = float(raw) if isinstance(raw, (int, float)) else None
-        else:
-            spec = str(p["metric"])
-            value = _resolve_metric(snapshot, spec)
         if value is None:
             return False, "", None
         if _OPS[op](value, limit):
             return True, f"{spec} = {value:g} (breach: {op} {limit:g})", value
         return False, "", value
-
-    def _eval_bench(
-        self, rule: AlertRule, state: _RuleState
-    ) -> Tuple[bool, str, Optional[float]]:
-        p = rule.params
-        path = Path(p.get("history", "BENCH_history.jsonl"))
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return False, "", None
-        if state.bench_mtime == mtime and state.bench_verdict is not None:
-            return state.bench_verdict
-        from ..bench import compare_history, read_history
-
-        entries = read_history(path, profile=p.get("profile"))
-        verdict: Tuple[bool, str, Optional[float]] = (False, "", None)
-        if len(entries) >= 2:
-            verdicts = compare_history(
-                entries[-1], entries[:-1],
-                threshold=float(p.get("threshold", 0.5)),
-            )
-            regressions = [
-                v for v in verdicts if v["status"] == "regression"
-            ]
-            if regressions:
-                worst = max(
-                    regressions,
-                    key=lambda v: v.get("ratio") or 0.0,
-                )
-                verdict = (
-                    True,
-                    f"{len(regressions)} bench regression(s); worst"
-                    f" {worst['metric']} at {worst['ratio']:.2f}x median",
-                    worst.get("ratio"),
-                )
-        state.bench_mtime = mtime
-        state.bench_verdict = verdict
-        return verdict
 
     # ------------------------------------------------------------------
     # views
@@ -468,8 +357,9 @@ def parse_alert_rules(text: str) -> List[AlertRule]:
 
     Uses :mod:`tomllib` when available (Python >= 3.11); otherwise a
     minimal line-oriented fallback that understands exactly the subset
-    alert files use — ``[[rule]]`` headers and ``key = value`` pairs with
-    string/number/boolean values.
+    alert files use — ``[[rule]]`` headers, ``key = value`` pairs with
+    string/number/boolean values, and ``#`` comments. A malformed rule
+    raises :class:`ValueError` naming it.
     """
     try:
         import tomllib
@@ -483,7 +373,7 @@ def parse_alert_rules(text: str) -> List[AlertRule]:
             continue
         entry = dict(entry)
         name = str(entry.pop("name", f"rule-{len(rules) + 1}"))
-        rtype = str(entry.pop("type", "threshold"))
+        rtype = str(entry.pop("type", RULE_TYPE))
         severity = str(entry.pop("severity", "warning"))
         description = str(entry.pop("description", ""))
         rules.append(AlertRule(
@@ -508,8 +398,8 @@ def _parse_toml_minimal(text: str) -> Dict[str, Any]:
     doc: Dict[str, Any] = {}
     current: Optional[Dict[str, Any]] = None
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _strip_comment(raw).strip()
+        if not line:
             continue
         if line.startswith("[[") and line.endswith("]]"):
             table = line[2:-2].strip()
@@ -524,6 +414,20 @@ def _parse_toml_minimal(text: str) -> Dict[str, Any]:
         key, _, value = line.partition("=")
         current[key.strip()] = _parse_toml_scalar(value.strip())
     return doc
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` without a ``#`` comment that lies outside a quoted string."""
+    quote = None
+    for i, ch in enumerate(line):
+        if quote is not None:
+            if ch == quote:
+                quote = None
+        elif ch in "\"'":
+            quote = ch
+        elif ch == "#":
+            return line[:i]
+    return line
 
 
 def _parse_toml_scalar(token: str) -> Any:

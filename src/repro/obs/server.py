@@ -16,7 +16,9 @@ long-running sweep watchable while it runs:
     ``{"status": "ok"}``, subsystems register *health sources*
     (:func:`add_health_source`) that contribute named sub-documents —
     the queue coordinator reports queue depth, active lease count, and
-    spool backlog, so a stalled worker fleet is visible from a probe.
+    spool backlog, so a stalled worker fleet is visible from a probe,
+    and the server reports its run registry's active run count and the
+    oldest active run's seconds since its last progress update.
 ``/runs``
     A JSON snapshot of the :class:`RunRegistry`: every in-flight ILP-MR /
     ILP-AR synthesis (current iteration, cost, reliability) and batch
@@ -134,8 +136,9 @@ class RunHandle:
     def update(self, **attrs: Any) -> "RunHandle":
         """Merge progress attributes (iteration, cost, done/total, ...).
 
-        Also stamps :attr:`updated_at` — the heartbeat the
-        ``heartbeat_silence`` alert rule watches for hung loops.
+        Also stamps :attr:`updated_at` — the heartbeat behind the
+        ``runs.oldest_update_age`` health field that a threshold alert
+        rule watches for hung loops.
         """
         with self._registry._lock:
             self.attrs.update(attrs)
@@ -214,6 +217,17 @@ class RunRegistry:
             for h in self._active.values():
                 counts[h.kind] = counts.get(h.kind, 0) + 1
             return counts
+
+    def health(self) -> Dict[str, Any]:
+        """The ``runs`` health source: active runs and the oldest one's
+        seconds since its last update (absent while no run is active)."""
+        now = time.time()
+        with self._lock:
+            ages = [now - h.updated_at for h in self._active.values()]
+        doc: Dict[str, Any] = {"active": len(ages)}
+        if ages:
+            doc["oldest_update_age"] = round(max(ages), 3)
+        return doc
 
     def reset(self) -> None:
         with self._lock:
@@ -477,6 +491,7 @@ class ObsServer:
             daemon=True,
         )
         self._thread.start()
+        add_health_source("runs", self.runs.health)
         if self.alerts is not None:
             add_health_source("alerts", self.alerts.health)
             self._alert_stop.clear()
@@ -514,6 +529,7 @@ class ObsServer:
             self._alert_stop.set()
             alert_thread.join(timeout=5.0)
             remove_health_source("alerts")
+        remove_health_source("runs")
         httpd.shutdown()
         httpd.server_close()
         if thread is not None:

@@ -31,7 +31,8 @@ line (whatever correlation fields, such as ``batch``, it carries); every
 other record is dispatched on its ``event``, and events with no table
 (``job_dedup``, ``pool_restart``, ...) are skipped.
 
-Auto-ingest: :func:`configure_auto_ingest` arms a process-global
+Auto-ingest: :func:`configure_auto_ingest` (what ``--warehouse`` on
+every engine command and on ``repro serve`` calls) arms a process-global
 destination; :func:`maybe_auto_ingest` (called by the engine after every
 ``run_batch`` with telemetry, and so by ``execute_run``) then folds the
 batch's journal in. Each auto-ingest opens a fresh connection — cheap,
@@ -43,7 +44,6 @@ contract as :class:`repro.engine.TelemetryWriter`).
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -525,9 +525,6 @@ class TelemetryWarehouse:
 #: Armed destination; ``None`` disables :func:`maybe_auto_ingest`.
 _AUTO_PATH: Optional[Path] = None
 
-#: Environment override so queue workers / subprocesses inherit the flag.
-_AUTO_ENV = "REPRO_WAREHOUSE"
-
 
 def configure_auto_ingest(
     path: Optional[Union[str, Path]],
@@ -539,11 +536,8 @@ def configure_auto_ingest(
 
 
 def auto_ingest_path() -> Optional[Path]:
-    """The armed destination: explicit flag first, env var fallback."""
-    if _AUTO_PATH is not None:
-        return _AUTO_PATH
-    env = os.environ.get(_AUTO_ENV)
-    return Path(env) if env else None
+    """The armed destination, or ``None`` while disarmed."""
+    return _AUTO_PATH
 
 
 def maybe_auto_ingest(

@@ -7,6 +7,7 @@ never depend on which cache configuration executed it.
 
 import multiprocessing
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +179,35 @@ class TestShardedBackend:
         assert second.shards == 32
         assert second.get(_digest(1)) == 0.25
         second.close()
+
+    def test_peer_pinning_between_write_and_rename(self, tmp_path,
+                                                   monkeypatch):
+        """Regression: two processes opening one fresh directory shared
+        one temp name for ``shards.json``, so a peer that pinned the
+        count between this opener's write and its rename moved the
+        opener's file away and its rename raised FileNotFoundError."""
+        real_replace = Path.replace
+        peers = []
+
+        def replace_after_peer(self, target):
+            if not peers:
+                peers.append(None)  # the peer's own rename runs unpatched
+                peers[0] = ShardedBackend(tmp_path, shards=32)
+                peers[0].close()
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace_after_peer)
+        backend = ShardedBackend(tmp_path, shards=32)
+        monkeypatch.undo()
+        assert peers[0].shards == backend.shards == 32
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "shards", "shards.json"]
+        backend.put(_digest(3), "bdd", 0.75)
+        backend.close()
+        reopened = ShardedBackend(tmp_path, shards=64)
+        assert reopened.shards == 32
+        assert reopened.get(_digest(3)) == 0.75
+        reopened.close()
 
     def test_lazy_shards_and_len(self, tmp_path):
         backend = ShardedBackend(tmp_path, shards=64)

@@ -1,6 +1,7 @@
 """Tests for the declarative alert-rule engine (`repro.obs.alerts`)."""
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -13,6 +14,7 @@ from repro.obs.alerts import (
     load_alert_rules,
     parse_alert_rules,
 )
+from repro.obs.server import RunRegistry
 
 RULES_TOML = """\
 # fleet alert rules
@@ -41,6 +43,29 @@ op = ">"
 value = 60
 """
 
+# The TUTORIAL's style: inline comments after headers and values.
+COMMENTED_TOML = """\
+[[rule]]                      # one table per rule
+name = "slow-solves"
+type = "threshold"            # metric/health value vs a limit
+metric = "engine.job.seconds.p95"   # histogram statistic suffixes:
+op = ">"                            # .p50/.p95/.p99/.mean/.count/...
+value = 30.0
+description = "p95 # of seconds"    # a '#' inside quotes is kept
+
+[[rule]]
+name = 'silent-run'
+source = "health"
+key = "runs.oldest_update_age"   # seconds since the last update
+op = ">"
+value = 180
+"""
+
+
+def get_json(url):
+    with urllib.request.urlopen(url, timeout=5) as resp:
+        return json.loads(resp.read().decode("utf-8"))
+
 
 @pytest.fixture(autouse=True)
 def clean_obs():
@@ -63,20 +88,63 @@ class TestRuleParsing:
 
     def test_minimal_fallback_matches_tomllib(self):
         # the 3.10 fallback must agree with tomllib on alert files
-        doc = _parse_toml_minimal(RULES_TOML)
+        docs = [_parse_toml_minimal(t) for t in (RULES_TOML, COMMENTED_TOML)]
         try:
             import tomllib
         except ImportError:
             pass
         else:
-            assert doc == tomllib.loads(RULES_TOML)
+            assert docs == [tomllib.loads(RULES_TOML),
+                            tomllib.loads(COMMENTED_TOML)]
+        doc, commented = docs
         assert len(doc["rule"]) == 3
         assert doc["rule"][1]["value"] == 30.0
         assert doc["rule"][2]["value"] == 60
+        slow, silent = commented["rule"]
+        assert slow["type"] == "threshold" and slow["op"] == ">"
+        assert slow["description"] == "p95 # of seconds"
+        assert silent["key"] == "runs.oldest_update_age"
+        assert silent["value"] == 180
+        assert len(parse_alert_rules(COMMENTED_TOML)) == 2
 
     def test_unknown_rule_type_rejected(self):
-        with pytest.raises(ValueError):
-            AlertRule(name="x", type="wishful_thinking")
+        for rtype in ("wishful_thinking", "rate_of_change", "slo_burn",
+                      "heartbeat_silence", "bench_sentinel"):
+            with pytest.raises(ValueError, match=rtype):
+                AlertRule(name="x", type=rtype)
+        with pytest.raises(ValueError, match="runs.oldest_update_age"):
+            parse_alert_rules(
+                '[[rule]]\nname = "hb"\ntype = "heartbeat_silence"\n')
+
+    def test_malformed_rules_rejected_at_load(self):
+        good = {"metric": '"engine.jobs.completed"', "op": '">"',
+                "value": "0"}
+        cases = [
+            ({"value": None}, "'value'"),
+            ({"value": "true"}, "'value'"),
+            ({"value": '"5"'}, "'value'"),
+            ({"op": '"=>"'}, "'op'"),
+            ({"metric": None, "metrc": '"engine.jobs.completed"'},
+             "'metrc'"),
+            ({"metric": None}, "'metric'"),
+            ({"key": '"queue.queue_depth"'}, "'metric'"),
+            ({"metric": None, "source": '"queue"', "key": '"x"'},
+             "'source'"),
+            ({"window": "60"}, "'window'"),
+        ]
+        for change, key in cases:
+            params = dict(good, **change)
+            body = "".join(f"{k} = {v}\n" for k, v in params.items()
+                           if v is not None)
+            with pytest.raises(ValueError) as err:
+                parse_alert_rules(f'[[rule]]\nname = "bad"\n{body}')
+            assert "'bad'" in str(err.value), (change, err.value)
+            assert key in str(err.value), (change, err.value)
+        # The same rule, well formed, loads with the default op.
+        (rule,) = parse_alert_rules(
+            '[[rule]]\nname = "ok"\nsource = "health"\n'
+            'key = "queue.queue_depth"\nvalue = 10\n')
+        assert rule.type == "threshold" and "op" not in rule.params
 
     def test_unknown_severity_rejected(self):
         with pytest.raises(ValueError):
@@ -152,50 +220,16 @@ class TestThreshold:
         assert engine.evaluate(now=1.0) == []
 
     def test_bad_rule_is_contained(self):
-        # an unknown op raises inside _evaluate_rule; the engine logs
-        # and moves on instead of taking the evaluation loop down
-        bad = threshold_rule(name="bad", op="!?")
+        # a rule corrupted after it was checked raises inside
+        # _evaluate_rule; the engine logs and moves on instead of taking
+        # the evaluation loop down
+        bad = threshold_rule(name="bad")
+        bad.params["op"] = "!?"
         good = threshold_rule(name="good")
         engine = AlertEngine([bad, good], health=dict)
         obs.gauge("t.metric").set(9.0)
         firing = engine.evaluate(now=1.0)
         assert [a["rule"] for a in firing] == ["good"]
-
-
-class TestRateOfChange:
-    def test_fires_when_slope_exceeds_threshold(self):
-        rule = AlertRule(name="roc", type="rate_of_change", params={
-            "metric": "r.metric", "threshold": 1.0, "window": 60})
-        engine = AlertEngine([rule], health=dict)
-        g = obs.gauge("r.metric")
-        g.set(0.0)
-        assert engine.evaluate(now=0.0) == []
-        g.set(50.0)  # +50 in 10s -> 5.0/s
-        (alert,) = engine.evaluate(now=10.0)
-        assert alert["value"] == pytest.approx(5.0)
-        g.set(50.0)  # flat again -> resolves once window slides
-        assert engine.evaluate(now=100.0) == []
-
-
-class TestSloBurn:
-    def test_burn_rate(self):
-        rule = AlertRule(name="slo", type="slo_burn", params={
-            "bad": "s.bad", "total": "s.total",
-            "objective": 0.99, "burn": 2.0, "window": 300})
-        engine = AlertEngine([rule], health=dict)
-        bad, total = obs.gauge("s.bad"), obs.gauge("s.total")
-        bad.set(0)
-        total.set(0)
-        assert engine.evaluate(now=0.0) == []
-        # 10 bad of 100 -> 10% errors against a 1% budget: 10x burn
-        bad.set(10)
-        total.set(100)
-        (alert,) = engine.evaluate(now=60.0)
-        assert alert["value"] == pytest.approx(10.0)
-        # same window, no *new* errors -> burn decays under the limit
-        bad.set(10)
-        total.set(10_000)
-        assert engine.evaluate(now=120.0) == []
 
 
 class TestStuckLease:
@@ -217,31 +251,32 @@ class TestStuckLease:
 
 
 class TestHeartbeatSilence:
-    class _Runs:
-        def __init__(self, runs):
-            self._runs = runs
-
-        def active(self):
-            return self._runs
+    # An active run that stopped reporting progress is a threshold rule
+    # on the run registry's health document.
+    @staticmethod
+    def engine(registry):
+        rule = AlertRule(name="hb", type="threshold", params={
+            "source": "health", "key": "runs.oldest_update_age",
+            "op": ">", "value": 120})
+        return AlertEngine([rule], health=lambda: {"runs": registry.health()})
 
     def test_silent_run_fires(self):
-        rule = AlertRule(name="hb", type="heartbeat_silence",
-                         params={"window": 120})
-        runs = self._Runs([
-            {"run_id": "r-live", "updated_at": 990.0},
-            {"run_id": "r-dead", "updated_at": 100.0},
-        ])
-        engine = AlertEngine([rule], runs=runs, health=dict)
-        (alert,) = engine.evaluate(now=1000.0)
-        assert "r-dead" in alert["message"]
+        registry = RunRegistry()
+        now = time.time()
+        registry.start("ilp_mr").updated_at = now - 10
+        registry.start("ilp_mr").updated_at = now - 900
+        (alert,) = self.engine(registry).evaluate()
+        assert 900 <= alert["value"] < 960  # the worst age
+        assert "runs.oldest_update_age = 9" in alert["message"]
 
     def test_fresh_runs_quiet(self):
-        rule = AlertRule(name="hb", type="heartbeat_silence",
-                         params={"window": 120})
-        engine = AlertEngine(
-            [rule], runs=self._Runs([{"run_id": "r", "updated_at": 995.0}]),
-            health=dict)
-        assert engine.evaluate(now=1000.0) == []
+        registry = RunRegistry()
+        registry.start("ilp_mr").updated_at = time.time() - 5
+        engine = self.engine(registry)
+        assert engine.evaluate() == []
+        registry.reset()
+        assert registry.health() == {"active": 0}
+        assert engine.evaluate() == []
 
 
 class TestViews:
@@ -292,3 +327,33 @@ class TestServerIntegration:
             assert health["alerts"]["firing"] == 1
         finally:
             server.stop()
+
+    def test_silent_run_fires_over_live_http(self):
+        from repro.obs.server import ObsServer
+
+        registry = RunRegistry()
+        rule = AlertRule(name="silent-run", type="threshold", params={
+            "source": "health", "key": "runs.oldest_update_age",
+            "op": ">", "value": 120})
+        server = ObsServer(port=0, runs=registry, alerts=AlertEngine([rule]),
+                           alert_interval=3600).start()
+        try:
+            # No active run: the age is absent and the rule stays quiet.
+            assert get_json(server.url + "/healthz")["runs"] == {"active": 0}
+            assert get_json(server.url + "/api/alerts")["firing"] == []
+
+            run = registry.start("ilp_mr")
+            run.updated_at -= 600
+            runs = get_json(server.url + "/healthz")["runs"]
+            assert runs["active"] == 1
+            assert runs["oldest_update_age"] >= 600
+            (alert,) = get_json(server.url + "/api/alerts")["firing"]
+            assert alert["rule"] == "silent-run"
+            assert alert["value"] >= 600
+            assert get_json(server.url + "/healthz")["status"] == "degraded"
+
+            run.finish()
+            assert get_json(server.url + "/api/alerts")["firing"] == []
+        finally:
+            server.stop()
+        assert "runs" not in obs.health_snapshot()

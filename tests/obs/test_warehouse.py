@@ -282,11 +282,6 @@ class TestAutoIngest:
         obs.maybe_auto_ingest(journal)
         assert not (tmp_path / "wh.db").exists()
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        db = tmp_path / "env.db"
-        monkeypatch.setenv("REPRO_WAREHOUSE", str(db))
-        assert obs.auto_ingest_path() == db
-
     def test_ingest_failure_swallowed(self, tmp_path):
         obs.configure_auto_ingest(tmp_path / "wh.db")
         obs.maybe_auto_ingest(tmp_path / "missing.jsonl")  # must not raise

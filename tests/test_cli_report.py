@@ -1,5 +1,7 @@
 """Tests for the report formatting helpers and the archex CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -320,3 +322,61 @@ class TestServeCli:
         assert port > 0
         out = capsys.readouterr().out
         assert f":{port}" in out  # the printed URL is connectable
+
+
+class TestAlertsCli:
+    def test_malformed_rules_exit_before_running(self, tmp_path, capsys):
+        no_limit = tmp_path / "no-limit.toml"
+        no_limit.write_text('[[rule]]\nname = "no-limit"\n'
+                            'metric = "engine.jobs.completed"\nop = ">"\n')
+        with pytest.raises(SystemExit) as err:
+            main(["synthesize", "--domain", "comm-net", "--algorithm", "ar",
+                  "--target", "1e-6", "--backend", "scipy",
+                  "--serve", "0", "--alerts", str(no_limit)])
+        assert err.value.code not in (0, None)
+        assert "'no-limit'" in str(err.value.code)
+        assert "'value'" in str(err.value.code)
+        assert "ILP-AR" not in capsys.readouterr().out
+
+        retired = tmp_path / "retired.toml"
+        retired.write_text('[[rule]]\nname = "burn"\ntype = "slo_burn"\n')
+        port_file = tmp_path / "port"
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--port", "0", "--port-file", str(port_file),
+                  "--runs-dir", str(tmp_path / "runs"),
+                  "--max-runtime", "0.4", "--alerts", str(retired)])
+        assert err.value.code not in (0, None)
+        assert "'burn'" in str(err.value.code)
+        assert "slo_burn" in str(err.value.code)
+        assert not port_file.exists()
+
+
+class TestObsCli:
+    def test_warehouse_flag_before_and_after_the_action(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        events = [
+            {"ts": 1.0, "batch": "b-1", "event": "batch_start",
+             "name": "unit", "jobs": 2, "workers": 0},
+            {"ts": 1.5, "batch": "b-1", "event": "job_end", "job": "j0",
+             "ok": True, "attempts": 1, "wall_time": 0.5},
+            {"ts": 2.0, "batch": "b-1", "event": "job_end", "job": "j1",
+             "ok": True, "attempts": 1, "wall_time": 0.5},
+            {"ts": 2.5, "batch": "b-1", "event": "batch_end",
+             "name": "unit", "wall_time": 1.5, "ok": 2, "failed": 0},
+        ]
+        (tmp_path / "tel.jsonl").write_text(
+            "".join(json.dumps(e) + "\n" for e in events))
+        assert main(["obs", "ingest", "--warehouse", "wh.db",
+                     "tel.jsonl"]) == 0
+        sql = "SELECT COUNT(*) AS jobs FROM jobs"
+        rows = []
+        for argv in (["obs", "--warehouse", "wh.db", "query", "--json", sql],
+                     ["obs", "query", "--warehouse", "wh.db", "--json", sql]):
+            capsys.readouterr()
+            assert main(argv) == 0
+            rows.append(json.loads(capsys.readouterr().out))
+        assert rows == [[{"jobs": 2}], [{"jobs": 2}]]
+        # Neither form falls back to the default warehouse path.
+        assert not (tmp_path / ".archex").exists()
