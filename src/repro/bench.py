@@ -1,6 +1,6 @@
 """Reproducible ILP benchmark suite — the numbers behind ``BENCH_ilp.json``.
 
-Three families of rows, all measured in one process so warm and cold arms
+Five kinds of rows, all measured in one process so warm and cold arms
 see identical code and inputs:
 
 ``ilp_mr``
@@ -20,13 +20,6 @@ see identical code and inputs:
     iterations versus dual-simplex pivots from the carried basis. This is
     the per-node saving branch-and-bound compounds.
 
-``cache_contention``
-    Aggregate write throughput into the reliability cache's persistent
-    tier: a single writer committing per put into one SQLite file (the
-    pre-sharding baseline) versus N concurrent writers pushing the same
-    total through the sharded backend's batched write-back. The speedup
-    is the scaling claim behind ``--cache-backend sharded``.
-
 ``queue_throughput``
     A batch of no-op jobs pushed through ``executor="queue"`` (the
     file-backed work queue with local worker processes): jobs/second
@@ -34,9 +27,10 @@ see identical code and inputs:
 
 ``sharded_sweep``
     The equivalence guarantee under load: a reliability sweep run twice —
-    serially against a SQLite cache and through the work queue with
-    concurrent workers against a sharded cache — recording both walls and
-    whether every value came back bit-identical.
+    serially and through the work queue with concurrent workers, each
+    into a fresh cache directory — recording both walls and whether
+    every value came back bit-identical. The name predates the single
+    cache store; it is kept so the row compares with its history.
 
 Run via ``repro bench`` or ``benchmarks/bench_suite.py``; validate a
 produced document with :func:`validate_bench_document` (CI does).
@@ -56,7 +50,6 @@ import json
 import platform
 import statistics
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -96,7 +89,6 @@ PROFILES: Dict[str, Dict[str, list]] = {
         "ilp_mr_scipy": [(4, 1e-4)],
         "lp_scaling": [(40, 60)],
         "warm_lp": [2],
-        "cache_contention": [(4, 150)],
         "queue_throughput": [(12, 2)],
         "sharded_sweep": [(24, 2)],
     },
@@ -105,7 +97,6 @@ PROFILES: Dict[str, Dict[str, list]] = {
         "ilp_mr_scipy": [(4, 1e-4), (6, 1e-4)],
         "lp_scaling": [(40, 60), (80, 120), (120, 200)],
         "warm_lp": [2, 4],
-        "cache_contention": [(8, 400)],
         "queue_throughput": [(48, 4)],
         "sharded_sweep": [(200, 8)],
     },
@@ -291,71 +282,6 @@ def _warm_lp_row(gens: int) -> dict:
     }
 
 
-def _hammer_backend(make_backend, threads: int, writes: int):
-    """Aggregate wall time for ``threads`` writers doing ``writes`` each."""
-    backend = make_backend()
-    barrier = threading.Barrier(threads + 1)
-
-    def work(t: int) -> None:
-        barrier.wait()
-        for i in range(writes):
-            n = t * writes + i
-            backend.put(f"{n:064x}", "bench", float(n))
-
-    pool = [
-        threading.Thread(target=work, args=(t,)) for t in range(threads)
-    ]
-    for thread in pool:
-        thread.start()
-    barrier.wait()  # release every writer at once
-    start = time.perf_counter()
-    for thread in pool:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    stored = len(backend)
-    backend.close()
-    return elapsed, stored
-
-
-def _cache_contention_row(threads: int, writes_per_thread: int) -> dict:
-    """Aggregate write throughput: sharded multi-writer vs single writer.
-
-    The baseline is the pre-sharding architecture — one writer, one
-    SQLite file, one commit per ``put``. The measurement is ``threads``
-    concurrent writers pushing the same total entry count through the
-    sharded tier, whose per-shard write-back batching turns the dominant
-    per-put commit into an amortized group commit. The speedup therefore
-    holds even on a single core, where lock-spread alone could not.
-    """
-    from .engine.backends.sharded import ShardedBackend
-    from .engine.backends.sqlite import SQLiteBackend
-
-    total = threads * writes_per_thread
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as td:
-        root = Path(td)
-        base_seconds, base_stored = _hammer_backend(
-            lambda: SQLiteBackend(root / "single.sqlite"), 1, total,
-        )
-        sh_seconds, sh_stored = _hammer_backend(
-            lambda: ShardedBackend(root / "sharded", shards=64),
-            threads, writes_per_thread,
-        )
-    base_wps = total / base_seconds if base_seconds > 0 else float("inf")
-    sh_wps = total / sh_seconds if sh_seconds > 0 else float("inf")
-    return {
-        "kind": "cache_contention",
-        "instance": f"writers-{threads}x{writes_per_thread}",
-        "threads": threads,
-        "writes_per_thread": writes_per_thread,
-        "single_writer_seconds": base_seconds,
-        "sharded_seconds": sh_seconds,
-        "single_writer_per_second": base_wps,
-        "sharded_writes_per_second": sh_wps,
-        "speedup": sh_wps / base_wps if base_wps > 0 else float("inf"),
-        "all_writes_landed": base_stored == total and sh_stored == total,
-    }
-
-
 def _queue_throughput_row(n_jobs: int, workers: int) -> dict:
     from .engine import BatchSpec, Job, run_batch
 
@@ -406,17 +332,14 @@ def _sharded_sweep_row(n_jobs: int, workers: int) -> dict:
         root = Path(td)
         start = time.perf_counter()
         serial = run_batch(make_batch(), jobs=1,
-                           cache_dir=str(root / "sql"),
-                           cache_backend="sqlite")
+                           cache_dir=str(root / "serial"))
         serial_wall = time.perf_counter() - start
         start = time.perf_counter()
         # retries=3: with many worker processes time-slicing few cores, a
         # transient OSError can recur within the default budget of 1 and
         # turn a benchmark row into a spurious failure.
         queued = run_batch(make_batch(), jobs=workers, executor="queue",
-                           cache_dir=str(root / "shard"),
-                           cache_backend="sharded", cache_shards=64,
-                           retries=3)
+                           cache_dir=str(root / "queue"), retries=3)
         queue_wall = time.perf_counter() - start
     serial_values = {r.job_id: r.value for r in serial.results if r.ok}
     queued_values = {r.job_id: r.value for r in queued.results if r.ok}
@@ -472,9 +395,6 @@ def run_bench(
         for gens in plan["warm_lp"]:
             log(f"[bench] warm_lp eps-g{gens} ...")
             rows.append(_warm_lp_row(gens))
-        for threads, writes in plan.get("cache_contention", []):
-            log(f"[bench] cache_contention writers-{threads}x{writes} ...")
-            rows.append(_cache_contention_row(threads, writes))
         for n_jobs, workers in plan.get("queue_throughput", []):
             log(f"[bench] queue_throughput noop-{n_jobs}x{workers} ...")
             rows.append(_queue_throughput_row(n_jobs, workers))
@@ -508,10 +428,6 @@ def run_bench(
             "all_objectives_agree": all(
                 r.get("objectives_agree", True) for r in rows
             ),
-            "cache_write_speedup": next(
-                (r["speedup"] for r in rows
-                 if r["kind"] == "cache_contention"), None
-            ),
             "sweep_values_identical": all(
                 r["values_identical"] for r in rows
                 if r["kind"] == "sharded_sweep"
@@ -538,11 +454,6 @@ _ROW_REQUIRED = {
     "warm_lp": {
         "instance", "cold_seconds", "cold_iterations", "warm_seconds",
         "warm_dual_pivots", "warm_started", "objectives_agree", "speedup",
-    },
-    "cache_contention": {
-        "instance", "threads", "writes_per_thread",
-        "single_writer_per_second", "sharded_writes_per_second", "speedup",
-        "all_writes_landed",
     },
     "queue_throughput": {
         "instance", "num_jobs", "workers", "wall_seconds",
@@ -623,15 +534,6 @@ def _entry_metrics(doc: dict) -> Dict[str, float]:
             base = f"warm_lp/{row['instance']}"
             metrics[f"{base}/warm_seconds"] = row["warm_seconds"]
             metrics[f"{base}/cold_seconds"] = row["cold_seconds"]
-            metrics[f"{base}/speedup"] = row["speedup"]
-        elif kind == "cache_contention":
-            base = f"cache_contention/{row['instance']}"
-            metrics[f"{base}/single_writer_per_second"] = (
-                row["single_writer_per_second"]
-            )
-            metrics[f"{base}/sharded_writes_per_second"] = (
-                row["sharded_writes_per_second"]
-            )
             metrics[f"{base}/speedup"] = row["speedup"]
         elif kind == "queue_throughput":
             base = f"queue_throughput/{row['instance']}"

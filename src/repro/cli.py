@@ -53,10 +53,8 @@ from .bench import (
     validate_bench_document,
 )
 from .domains import domain_spec, eps_scaling_specs
-from .ilp import configure_auto
 from .arch import save_json
 from .engine import (
-    BACKEND_NAMES,
     EXECUTOR_MODES,
     requirement_sweep,
     run_batch,
@@ -160,12 +158,10 @@ def _telemetry_path(args: argparse.Namespace) -> Optional[str]:
 
 
 def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Executor/cache-tier selection shared by every engine command."""
+    """Executor selection shared by every engine command."""
     return {
         "executor": getattr(args, "executor", None),
         "queue_dir": getattr(args, "queue_dir", None),
-        "cache_backend": getattr(args, "cache_backend", "auto"),
-        "cache_shards": getattr(args, "cache_shards", None),
     }
 
 
@@ -549,8 +545,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         batch_jobs=args.jobs,
         cache_dir=args.cache_dir,
         default_timeout=args.job_timeout,
-        cache_backend=args.cache_backend,
-        cache_shards=args.cache_shards,
     ).start()
     if args.resume:
         resumed = resume_interrupted(store, queue)
@@ -709,8 +703,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     executed = run_worker(
         args.queue_dir,
         cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
-        cache_shards=args.cache_shards,
         retries=args.retries,
         lease_ttl=args.lease_ttl,
         idle_timeout=args.idle_timeout,
@@ -854,23 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the trace (.json = Chrome trace event "
                        "format, .jsonl = telemetry span stream); implies "
                        "--trace")
-        p.add_argument("--auto-scipy-vars", type=int, default=None, metavar="N",
-                       help="auto-backend cutover: route to HiGHS above N "
-                       "variables (default: calibrated from BENCH_ilp.json)")
-        p.add_argument("--auto-scipy-constrs", type=int, default=None,
-                       metavar="N",
-                       help="auto-backend cutover: route to HiGHS above N "
-                       "constraints")
-
-    def cache_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--cache-backend", default="auto",
-                       choices=list(BACKEND_NAMES),
-                       help="persistent cache tier: sqlite (one WAL file), "
-                       "sharded (per-shard files for concurrent writers), "
-                       "memory, or auto (sharded iff --cache-shards given)")
-        p.add_argument("--cache-shards", type=int, default=None, metavar="K",
-                       help="shard count for the sharded tier (16-256; "
-                       "implies --cache-backend sharded under auto)")
 
     def engine_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -878,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent reliability cache directory "
                        "(shared across runs and workers)")
-        cache_args(p)
         p.add_argument("--executor", default=None,
                        choices=list(EXECUTOR_MODES),
                        help="execution mode (default: serial for --jobs 1, "
@@ -1005,7 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="persistent reliability cache shared by all "
                       "service runs")
-    cache_args(p_sv)
     p_sv.add_argument("--workers", type=int, default=1, metavar="N",
                       help="concurrent runs (worker threads)")
     p_sv.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -1098,7 +1071,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="the work-queue directory to lease jobs from")
     p_wk.add_argument("--cache-dir", default=None, metavar="DIR",
                       help="persistent reliability cache directory")
-    cache_args(p_wk)
     p_wk.add_argument("--retries", type=int, default=1, metavar="N",
                       help="extra attempts for transiently failing jobs")
     p_wk.add_argument("--lease-ttl", type=float, default=60.0,
@@ -1238,13 +1210,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Built before anything is armed: a malformed rules file exits here.
         server = obs.ObsServer(port=args.serve,
                                alerts=_build_alert_engine(args))
-    if getattr(args, "auto_scipy_vars", None) is not None or getattr(
-        args, "auto_scipy_constrs", None
-    ) is not None:
-        configure_auto(
-            scipy_vars=args.auto_scipy_vars,
-            scipy_constrs=args.auto_scipy_constrs,
-        )
     if getattr(args, "log", None):
         obs.configure_obslog(
             path=args.log, level=getattr(args, "log_level", "info"),

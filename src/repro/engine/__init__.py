@@ -21,10 +21,8 @@ turns those piles into first-class batches:
 * :mod:`repro.engine.cache` — a persistent content-addressed
   :class:`ReliabilityCache` plugged beneath
   :func:`repro.reliability.failure_probability`, so ILP-MR's RELANALYSIS
-  loop and sweep re-evaluations never re-analyze a graph twice — stored
-  through pluggable backends (:mod:`repro.engine.backends`): a bounded
-  in-memory LRU front tier over a single-file SQLite store or a
-  filesystem-sharded tier built for concurrent writers;
+  loop and sweep re-evaluations never re-analyze a graph twice — a
+  bounded in-memory LRU in front of one SQLite file per cache directory;
 * :mod:`repro.engine.telemetry` — JSONL run telemetry per batch plus
   roll-up summaries rendered by :func:`repro.report.render_batch_summary`.
 
@@ -32,7 +30,6 @@ turns those piles into first-class batches:
 ``sweep`` commands and the benchmark harness all route through here.
 """
 
-from .backends import BACKEND_NAMES, CacheBackend
 from .cache import CacheStats, ReliabilityCache, problem_digest
 from .executor import (
     EXECUTOR_MODES,
@@ -62,10 +59,8 @@ from .telemetry import (
 )
 
 __all__ = [
-    "BACKEND_NAMES",
     "BatchResult",
     "BatchSpec",
-    "CacheBackend",
     "CacheStats",
     "EXECUTOR_MODES",
     "FileWorkQueue",

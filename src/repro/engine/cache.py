@@ -20,36 +20,32 @@ reconstructs the problem from the payload and recomputes the value with a
 different engine than the one that produced it
 (:func:`repro.verify.audit_cache`).
 
-Storage is a read-through/write-back *chain* of pluggable backends
-(:mod:`repro.engine.backends`): a bounded in-memory LRU front tier keeps
-repeated lookups off the disk, backed (when ``cache_dir`` is given) by
-either the classic single-file SQLite store (``backend="sqlite"``, the
-default) or a filesystem-sharded tier (``backend="sharded"``) that splits
-entries by content-hash prefix across per-shard SQLite files so
-concurrent workers stop serializing on one writer. ``cache_dir=None``
-gives a memory-only cache, useful for a single serial sweep or tests.
-A closed (or otherwise failing) persistent tier never propagates out of
-the cache: every operation degrades to the bounded in-memory layer, so a
-stale handle left installed beneath ``failure_probability`` cannot crash
-an analysis.
+Storage is one store: a bounded in-memory LRU (:class:`MemoryLRU`) in
+front of, when ``cache_dir`` is given, one WAL-mode SQLite file
+``<cache_dir>/relcache.sqlite`` (:class:`SQLiteStore`) that commits each
+put. Reads go through the LRU and promote persisted entries into it.
+``cache_dir=None`` gives a memory-only cache, useful for a single serial
+sweep or tests. A closed (or otherwise failing) file never propagates
+out of the cache: every operation degrades to the bounded in-memory
+layer, so a stale handle left installed beneath ``failure_probability``
+cannot crash an analysis.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
+import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Union
 
 import networkx as nx
 
 from .. import obs
-from .backends import (
-    DEFAULT_MAX_ENTRIES,
-    MemoryBackend,
-    make_backend,
-)
-from .backends.sqlite import CACHE_FILENAME
 
 __all__ = [
     "CACHE_FILENAME",
@@ -60,6 +56,17 @@ __all__ = [
     "payload_digest",
     "problem_from_payload",
 ]
+
+#: Name of the SQLite file created inside a cache directory.
+CACHE_FILENAME = "relcache.sqlite"
+
+#: SQLite busy timeout on every connection to the cache file: writers
+#: from several processes queue for the lock instead of failing fast.
+BUSY_TIMEOUT_MS = 30_000
+
+#: LRU capacity of the in-memory layer. A digest key plus a float is
+#: ~150 bytes, so the bound keeps the layer around 10 MB per process.
+MAX_MEMORY_ENTRIES = 65_536
 
 
 def problem_payload(problem, method: str) -> Dict[str, Any]:
@@ -136,6 +143,182 @@ class CacheStats:
         }
 
 
+
+class MemoryLRU:
+    """In-process LRU map of ``digest -> value``, bounded at ``max_entries``.
+
+    Reads refresh recency; a put past the bound evicts the least recently
+    used entry. Eviction only forgets a cached copy: the file behind it
+    still holds the value, so the bound can cost a re-read, never a
+    recompute of a persisted entry. Every operation takes the lock: the
+    service shares one cache across worker threads.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be at least 1")
+        self.max_entries = max_entries
+        self.evictions = 0
+        self._entries: "OrderedDict[str, float]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, digest: str) -> Optional[float]:
+        with self._lock:
+            value = self._entries.get(digest)
+            if value is not None:
+                self._entries.move_to_end(digest)
+            return value
+
+    def put(self, digest: str, value: float) -> None:
+        with self._lock:
+            if digest in self._entries:
+                self._entries.move_to_end(digest)
+                return  # first write wins; refresh recency only
+            self._entries[digest] = float(value)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS reliability (
+    digest TEXT PRIMARY KEY,
+    method TEXT NOT NULL,
+    value REAL NOT NULL,
+    created_at REAL NOT NULL,
+    problem TEXT
+)
+"""
+
+
+class SQLiteStore:
+    """Digest store over one SQLite file (WAL mode, busy timeout).
+
+    WAL plus the busy timeout lets concurrent reader/writer processes
+    share the file. One connection may be shared by several service
+    worker threads (the global cache hook is process-wide); sqlite3
+    connections are not thread-safe on their own, so every statement
+    runs under the store's lock, and ``check_same_thread=False`` permits
+    the sharing. A closed or otherwise broken connection never
+    propagates out: ``get`` degrades to a miss and ``put`` to a no-op.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self._lock = threading.RLock()
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        self._conn: Optional[sqlite3.Connection] = sqlite3.connect(
+            str(path), timeout=BUSY_TIMEOUT_MS / 1000.0,
+            check_same_thread=False,
+        )
+        # WAL lets concurrent reader/writer processes coexist; the
+        # explicit busy timeout makes writers queue (up to the timeout)
+        # instead of failing fast with "database is locked" when several
+        # workers share one cache file. The WAL switch itself can still
+        # be refused while a peer opening the same fresh file makes it;
+        # the mode is persistent, so the peer's switch serves us too.
+        try:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.OperationalError:
+            pass
+        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+        self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(_SCHEMA)
+        self._migrate()
+        self._conn.commit()
+
+    def _migrate(self) -> None:
+        """Bring a pre-existing cache file up to the current schema.
+
+        Older caches stored only ``digest -> value``; the ``problem``
+        column (the canonical payload audited by :mod:`repro.verify`) is
+        added in place. Entries written before the migration keep a NULL
+        payload and are simply not auditable. Fresh files are created
+        with the column, and a peer process migrating the same file
+        first is not an error.
+        """
+        columns = {
+            row[1] for row in self._conn.execute("PRAGMA table_info(reliability)")
+        }
+        if "problem" not in columns:
+            try:
+                self._conn.execute(
+                    "ALTER TABLE reliability ADD COLUMN problem TEXT"
+                )
+            except sqlite3.OperationalError as exc:
+                if "duplicate column" not in str(exc):
+                    raise
+
+    @property
+    def closed(self) -> bool:
+        return self._conn is None
+
+    def get(self, digest: str) -> Optional[float]:
+        if self._conn is None:
+            return None
+        try:
+            with self._lock:
+                row = self._conn.execute(
+                    "SELECT value FROM reliability WHERE digest = ?",
+                    (digest,),
+                ).fetchone()
+        except sqlite3.Error:
+            # Closed or broken connection: degrade to a miss rather
+            # than crashing the analysis that asked.
+            return None
+        return float(row[0]) if row is not None else None
+
+    def put(
+        self,
+        digest: str,
+        method: str,
+        value: float,
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if self._conn is None:
+            return
+        blob = (
+            json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            if payload is not None
+            else None
+        )
+        try:
+            with self._lock:
+                self._conn.execute(
+                    "INSERT OR IGNORE INTO reliability "
+                    "(digest, method, value, created_at, problem) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (digest, method, float(value), time.time(), blob),
+                )
+                self._conn.commit()
+        except sqlite3.Error:
+            pass  # persistence degrades; the memory layer keeps the entry
+
+    def __len__(self) -> int:
+        if self._conn is not None:
+            try:
+                with self._lock:
+                    row = self._conn.execute(
+                        "SELECT COUNT(*) FROM reliability"
+                    ).fetchone()
+                return int(row[0])
+            except sqlite3.Error:
+                pass
+        return 0
+
+    def close(self) -> None:
+        if self._conn is not None:
+            try:
+                with self._lock:
+                    self._conn.close()
+            except sqlite3.Error:  # pragma: no cover - close is best-effort
+                pass
+            self._conn = None
+
+
 class ReliabilityCache:
     """Content-addressed failure-probability cache.
 
@@ -145,87 +328,48 @@ class ReliabilityCache:
     method)`` returning ``None`` on miss, and ``store(problem, method,
     value)``.
 
-    Parameters
-    ----------
-    cache_dir:
-        Directory for the persistent tier; ``None`` keeps the cache
-        memory-only.
-    busy_timeout_ms:
-        SQLite busy timeout applied to every persistent connection.
-    backend:
-        Persistent tier to use under ``cache_dir``: ``"sqlite"`` (one
-        WAL file, the default via ``"auto"``), ``"sharded"`` (per-shard
-        SQLite files keyed by digest prefix — the concurrent-writer
-        tier), or ``"memory"`` to force a memory-only cache even with a
-        ``cache_dir``.
-    shards:
-        Shard count for the sharded tier (16–256). Setting it with
-        ``backend="auto"`` selects the sharded tier. A directory that
-        already holds a sharded cache keeps its original count.
-    max_memory_entries:
-        LRU bound of the in-memory front tier (``None`` = unbounded).
-        Eviction only forgets in-process copies; persisted entries are
-        re-read on the next lookup.
+    ``cache_dir`` is the directory holding the cache file; ``None``
+    keeps the cache memory-only. The in-memory layer holds at most
+    :data:`MAX_MEMORY_ENTRIES` values.
     """
 
-    def __init__(self, cache_dir: Optional[str] = None,
-                 busy_timeout_ms: int = 30_000,
-                 backend: str = "auto",
-                 shards: Optional[int] = None,
-                 max_memory_entries: Optional[int] = DEFAULT_MAX_ENTRIES,
-                 ) -> None:
+    def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.busy_timeout_ms = int(busy_timeout_ms)
         self.stats = CacheStats()
-        self._memory = MemoryBackend(max_entries=max_memory_entries)
-        self._persistent = make_backend(
-            backend, self.cache_dir, busy_timeout_ms=self.busy_timeout_ms,
-            shards=shards,
-        )
-        self.backend_name = (
-            self._persistent.name if self._persistent is not None else "memory"
-        )
-        self.path = (
-            self._persistent.path if self._persistent is not None else None
+        self._memory = MemoryLRU(MAX_MEMORY_ENTRIES)
+        self._file = (
+            SQLiteStore(Path(cache_dir) / CACHE_FILENAME)
+            if cache_dir is not None else None
         )
 
     @property
     def _conn(self):
-        """The single-file tier's raw SQLite connection (compat shim).
-
-        Tests and diagnostics reach through this to poke the connection
-        (e.g. closing it behind the cache's back to exercise the
-        degraded path); the sharded tier has no single connection and
-        reports ``None``.
-        """
-        return getattr(self._persistent, "_conn", None)
+        """The cache file's raw SQLite connection (``None`` when there is
+        none): tests close it behind the cache's back to exercise the
+        degraded path."""
+        return self._file._conn if self._file is not None else None
 
     @property
     def closed(self) -> bool:
-        """True when the persistent layer is gone (never opened/closed)."""
-        return self.cache_dir is not None and (
-            self._persistent is None or self._persistent.closed
-        )
+        """True when the cache file is gone (closed); never memory-only."""
+        return self._file is not None and self._file.closed
 
     @property
     def memory_evictions(self) -> int:
-        """LRU evictions performed by the bounded front tier."""
+        """LRU evictions performed by the bounded in-memory layer."""
         return self._memory.evictions
 
     # -- digest-level API -------------------------------------------------
 
     def get(self, digest: str) -> Optional[float]:
         value = self._memory.get(digest)
-        if value is not None:
-            return value
-        if self._persistent is not None:
-            value = self._persistent.get(digest)
+        if value is None and self._file is not None:
+            value = self._file.get(digest)
             if value is not None:
-                # Read-through: promote the persisted entry to the front
-                # tier so the next lookup skips the disk.
-                self._memory.put(digest, "", value)
-                return value
-        return None
+                # Read-through: promote the persisted entry to the
+                # memory layer so the next lookup skips the disk.
+                self._memory.put(digest, value)
+        return value
 
     def put(
         self,
@@ -234,9 +378,9 @@ class ReliabilityCache:
         value: float,
         payload: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self._memory.put(digest, method, value)
-        if self._persistent is not None:
-            self._persistent.put(digest, method, value, payload=payload)
+        self._memory.put(digest, value)
+        if self._file is not None:
+            self._file.put(digest, method, value, payload=payload)
 
     # -- problem-level API (the failure_probability hook) -----------------
 
@@ -262,9 +406,7 @@ class ReliabilityCache:
 
         Gauges (not counters) because several cache instances can come
         and go within one traced run; the gauge always shows the live
-        instance's totals. The sharded tier additionally publishes
-        per-shard gauges so a hot shard (skewed digest prefix, or a
-        contended writer) is visible from ``/metrics``.
+        instance's totals.
         """
         obs.gauge("reliability.cache.hits").set(self.stats.hits)
         obs.gauge("reliability.cache.misses").set(self.stats.misses)
@@ -273,30 +415,21 @@ class ReliabilityCache:
         obs.gauge("reliability.cache.memory_evictions").set(
             self._memory.evictions
         )
-        shard_stats = getattr(self._persistent, "shard_stats", None)
-        if shard_stats is not None:
-            for row in shard_stats():
-                if not (row["hits"] or row["misses"] or row["stores"]):
-                    continue  # keep /metrics free of never-touched shards
-                prefix = f"reliability.cache.shard.{row['shard']:03d}"
-                obs.gauge(f"{prefix}.hits").set(row["hits"])
-                obs.gauge(f"{prefix}.misses").set(row["misses"])
-                obs.gauge(f"{prefix}.stores").set(row["stores"])
 
     # -- housekeeping -----------------------------------------------------
 
     def __len__(self) -> int:
-        if self._persistent is not None and not self._persistent.closed:
-            count = len(self._persistent)
-            # A broken-but-not-closed tier answers 0; fall back to the
-            # memory tier so the degraded cache still reports something.
+        if self._file is not None and not self._file.closed:
+            count = len(self._file)
+            # A broken-but-not-closed file answers 0; fall back to the
+            # memory layer so the degraded cache still reports something.
             if count or not len(self._memory):
                 return count
         return len(self._memory)
 
     def close(self) -> None:
-        if self._persistent is not None:
-            self._persistent.close()
+        if self._file is not None:
+            self._file.close()
 
     def __enter__(self) -> "ReliabilityCache":
         return self
@@ -307,7 +440,6 @@ class ReliabilityCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.cache_dir or "memory"
         return (
-            f"ReliabilityCache({where!r}, backend={self.backend_name!r}, "
-            f"entries={len(self)}, hits={self.stats.hits}, "
-            f"misses={self.stats.misses})"
+            f"ReliabilityCache({where!r}, entries={len(self)}, "
+            f"hits={self.stats.hits}, misses={self.stats.misses})"
         )

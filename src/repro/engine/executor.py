@@ -237,8 +237,6 @@ def _worker_run(job: Job) -> Dict[str, Any]:
 def worker_runtime(
     spool_dir: Union[str, Path],
     cache_dir: Optional[str],
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
 ) -> Iterator["obs.TelemetrySpool"]:
     """Set up one pool or queue worker process; yields its spool.
 
@@ -247,14 +245,12 @@ def worker_runtime(
     coordinator's context instead, see :func:`_run_shipped`), observes
     metrics, and opens the worker's spool ``<spool_dir>/worker-<pid>.jsonl``
     while the directory exists, into which B&B search events stream. On
-    exit the cache lands its buffered writes and the spool ships a final
-    metrics delta.
+    exit the cache closes and the spool ships a final metrics delta.
     """
     from ..ilp.search_events import capture_search_events
     from ..reliability.exact import set_reliability_cache
 
-    cache = ReliabilityCache(cache_dir, backend=cache_backend,
-                             shards=cache_shards)
+    cache = ReliabilityCache(cache_dir)
     previous = set_reliability_cache(cache)
     obs.set_tracer(None)
     obs.reset_span_stack()
@@ -300,16 +296,13 @@ _POOL_WORKER: Tuple[Any, ...] = ()
 
 
 def _worker_init(spool_dir: str, trace_ctx: Optional["obs.TraceContext"],
-                 cache_dir: Optional[str], cache_backend: str = "auto",
-                 cache_shards: Optional[int] = None) -> None:
+                 cache_dir: Optional[str]) -> None:
     """Pool initializer: enter the worker runtime for the worker's life."""
     global _POOL_WORKER
     runtime = ExitStack()
-    spool = runtime.enter_context(
-        worker_runtime(spool_dir, cache_dir, cache_backend, cache_shards)
-    )
+    spool = runtime.enter_context(worker_runtime(spool_dir, cache_dir))
     # atexit never runs in a fork-started worker; multiprocessing's exit
-    # hook does, so the cache flush and the final ship still land.
+    # hook does, so the cache still closes and the final ship lands.
     Finalize(None, runtime.close, exitpriority=0)
     _POOL_WORKER = (spool, trace_ctx)
 
@@ -404,8 +397,8 @@ class _InlineTransport:
 
     mode = "serial"
 
-    def __init__(self, writer: TelemetryWriter, cache_dir: Optional[str],
-                 cache_backend: str, cache_shards: Optional[int]) -> None:
+    def __init__(self, writer: TelemetryWriter,
+                 cache_dir: Optional[str]) -> None:
         from ..ilp.search_events import capture_search_events
 
         self._runnable: deque = deque()
@@ -413,8 +406,7 @@ class _InlineTransport:
         # Reuse an already-installed cache (e.g. inside a pool worker
         # running a nested batch); otherwise install one for this batch.
         if get_reliability_cache() is None:
-            cache = ReliabilityCache(cache_dir, backend=cache_backend,
-                                     shards=cache_shards)
+            cache = ReliabilityCache(cache_dir)
             self._scope.callback(cache.close)
             self._scope.enter_context(reliability_cache(cache))
         # With durable telemetry, stream the B&B search tree of every
@@ -450,8 +442,7 @@ class _PoolTransport:
     mode = "pool"
 
     def __init__(self, batch_name: str, jobs: int, timeout: Optional[float],
-                 writer: TelemetryWriter, cache_dir: Optional[str],
-                 cache_backend: str, cache_shards: Optional[int]) -> None:
+                 writer: TelemetryWriter, cache_dir: Optional[str]) -> None:
         # Workers spool their telemetry into a per-batch directory that
         # the collector folds home. With no tracer and no trace context
         # active, workers skip span collection.
@@ -460,7 +451,7 @@ class _PoolTransport:
         self._make_pool = partial(
             ProcessPoolExecutor, max_workers=jobs, initializer=_worker_init,
             initargs=(self._spool_dir, worker_trace_context(batch_name),
-                      cache_dir, cache_backend, cache_shards),
+                      cache_dir),
         )
         self._timeout = timeout
         self._writer = writer
@@ -627,8 +618,6 @@ def iter_batch(
     writer: Optional[TelemetryWriter] = None,
     executor: Optional[str] = None,
     queue_dir: Optional[str] = None,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
 ) -> Iterator[JobResult]:
     """Execute ``batch`` and yield :class:`JobResult` as each completes.
 
@@ -656,15 +645,12 @@ def iter_batch(
             yield from iter_queue(batch, jobs=max(jobs, 1),
                                   queue_dir=queue_dir, cache_dir=cache_dir,
                                   retries=retries, lease_ttl=timeout,
-                                  writer=writer,
-                                  cache_backend=cache_backend,
-                                  cache_shards=cache_shards)
+                                  writer=writer)
             return
-        cache = (cache_dir, cache_backend, cache_shards)
         transport = (
-            _InlineTransport(writer, *cache) if mode == "serial"
+            _InlineTransport(writer, cache_dir) if mode == "serial"
             else _PoolTransport(batch.name, max(jobs, 1), timeout, writer,
-                                *cache)
+                                cache_dir)
         )
         yield from _dispatch(batch, transport, retries, writer)
     finally:
@@ -682,8 +668,6 @@ def run_batch(
     should_stop: Optional[Callable[[], bool]] = None,
     executor: Optional[str] = None,
     queue_dir: Optional[str] = None,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
 ) -> BatchResult:
     """Execute a whole batch and collect results in submission order.
 
@@ -709,9 +693,6 @@ def run_batch(
     queue_dir:
         Queue-mode only: directory holding the shared work queue; a
         temporary queue is created (and discarded) when omitted.
-    cache_backend / cache_shards:
-        Persistent cache tier selection, forwarded to
-        :class:`repro.engine.ReliabilityCache` in every worker.
     on_result:
         Called with each :class:`JobResult` the moment it completes (in
         completion order) — the service journals results through this so
@@ -746,8 +727,7 @@ def run_batch(
                 for result in iter_batch(
                     batch, jobs=jobs, cache_dir=cache_dir, retries=retries,
                     timeout=timeout, writer=writer, executor=executor,
-                    queue_dir=queue_dir, cache_backend=cache_backend,
-                    cache_shards=cache_shards,
+                    queue_dir=queue_dir,
                 ):
                     results.append(result)
                     done += 1

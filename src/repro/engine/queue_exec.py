@@ -483,8 +483,6 @@ def _execute_lease(queue: FileWorkQueue, lease: Lease, retries: int,
 def run_worker(
     queue_dir: Union[str, Path],
     cache_dir: Optional[str] = None,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
     retries: int = 1,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     stop_file: Optional[str] = None,
@@ -521,8 +519,7 @@ def run_worker(
     if base_ctx is not None:
         worker_fields.update(base_ctx.fields)
 
-    with worker_runtime(queue.spool_dir, cache_dir, cache_backend,
-                        cache_shards) as spool:
+    with worker_runtime(queue.spool_dir, cache_dir) as spool:
         with obs.log_context(**worker_fields):
             obs.log("worker.started", queue=str(queue.path))
             while True:
@@ -716,8 +713,6 @@ def iter_queue(
     retries: int = 1,
     lease_ttl: Optional[float] = None,
     writer: Optional[TelemetryWriter] = None,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
     spawn_workers: bool = True,
     poll_interval: float = POLL_INTERVAL,
 ) -> Iterator[JobResult]:
@@ -743,8 +738,7 @@ def iter_queue(
     writer = writer if writer is not None else TelemetryWriter(None)
     transport = _QueueTransport(
         batch.name, writer, queue_dir, jobs if spawn_workers else 0,
-        poll_interval, cache_dir=cache_dir, cache_backend=cache_backend,
-        cache_shards=cache_shards, retries=retries,
+        poll_interval, cache_dir=cache_dir, retries=retries,
         lease_ttl=lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL,
     )
     yield from _dispatch(batch, transport, retries, writer)

@@ -34,7 +34,7 @@ from .search_events import (
     set_search_sink,
 )
 from .simplex import LPBasis, LPResult, LPStatus, bland_cutover, solve_lp
-from .solver import AutoTuning, SolveResult, Status, configure_auto, solve
+from .solver import AutoTuning, SolveResult, Status, solve
 
 __all__ = [
     "Model",
@@ -66,7 +66,6 @@ __all__ = [
     "WarmStartContext",
     "extend_basis",
     "AutoTuning",
-    "configure_auto",
     "bland_cutover",
     "SearchEventEmitter",
     "capture_search_events",

@@ -28,7 +28,7 @@ from .incremental import WarmStartContext
 from .model import Model
 from .scipy_backend import scipy_milp_available, solve_with_scipy
 
-__all__ = ["AutoTuning", "SolveResult", "Status", "configure_auto", "solve"]
+__all__ = ["AutoTuning", "SolveResult", "Status", "solve"]
 
 
 @dataclass
@@ -42,9 +42,7 @@ class AutoTuning:
     solver beats HiGHS up to roughly 80 binaries / 150 rows on the
     set-cover-shaped models this project produces (it was cut over at 60
     variables before), and falls behind quickly after. Override per call
-    (``solve(..., tuning=...)``), per process (:func:`configure_auto`,
-    which the CLI's ``--auto-scipy-vars`` / ``--auto-scipy-constrs`` flags
-    use), or not at all.
+    with ``solve(..., tuning=...)``.
     """
 
     scipy_vars: int = 80
@@ -55,17 +53,6 @@ class AutoTuning:
 
 
 _DEFAULT_TUNING = AutoTuning()
-
-
-def configure_auto(
-    scipy_vars: Optional[int] = None, scipy_constrs: Optional[int] = None
-) -> AutoTuning:
-    """Override the process-wide ``auto`` thresholds; returns the active set."""
-    if scipy_vars is not None:
-        _DEFAULT_TUNING.scipy_vars = scipy_vars
-    if scipy_constrs is not None:
-        _DEFAULT_TUNING.scipy_constrs = scipy_constrs
-    return _DEFAULT_TUNING
 
 
 class Status:

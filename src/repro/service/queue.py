@@ -11,9 +11,9 @@ Runs execute one per worker thread; the parallelism *within* a run comes
 from the engine's process pool (``spec.jobs`` / ``batch_jobs``), so a
 single-worker queue with ``batch_jobs=4`` already saturates four cores.
 The persistent reliability cache is shared by every run through
-``cache_dir`` — the WAL + busy-timeout configuration on
-:class:`repro.engine.ReliabilityCache` keeps concurrent workers off each
-other's locks.
+``cache_dir``: one SQLite file in WAL mode with a busy timeout, so
+concurrent runs and their pool workers queue for its writer lock
+instead of failing.
 """
 
 from __future__ import annotations
@@ -39,16 +39,12 @@ class JobQueue:
         batch_jobs: int = 1,
         cache_dir: Optional[str] = None,
         default_timeout: Optional[float] = None,
-        cache_backend: str = "auto",
-        cache_shards: Optional[int] = None,
     ) -> None:
         self.store = store
         self.workers = max(1, int(workers))
         self.batch_jobs = max(1, int(batch_jobs))
         self.cache_dir = cache_dir
         self.default_timeout = default_timeout
-        self.cache_backend = cache_backend
-        self.cache_shards = cache_shards
         self._queue: "_queue.Queue[Optional[str]]" = _queue.Queue()
         self._lock = threading.Lock()
         self._cancel_events: Dict[str, threading.Event] = {}
@@ -214,8 +210,6 @@ class JobQueue:
                 jobs=self.batch_jobs,
                 cache_dir=self.cache_dir,
                 timeout=self.default_timeout,
-                cache_backend=self.cache_backend,
-                cache_shards=self.cache_shards,
             )
         except Exception:  # noqa: BLE001 - the loop must survive anything
             # execute_run seals failures itself; this guards the guard.

@@ -330,8 +330,6 @@ def execute_run(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
-    cache_backend: str = "auto",
-    cache_shards: Optional[int] = None,
 ) -> RunRecord:
     """Execute one stored run to a terminal state and seal its evidence.
 
@@ -346,8 +344,6 @@ def execute_run(
     timeout:
         Wall-clock budget for the whole run; overrides the spec's own
         ``timeout`` when the spec gives none.
-    cache_backend / cache_shards:
-        Persistent cache tier selection, forwarded to the engine.
     """
     spec = record.spec()
     if record.state != RUNNING:
@@ -424,8 +420,6 @@ def execute_run(
             telemetry=str(record.path / TELEMETRY_NAME),
             on_result=on_result,
             should_stop=should_stop,
-            cache_backend=cache_backend,
-            cache_shards=cache_shards,
         )
 
         # Merge replayed + fresh results back into submission order.

@@ -259,8 +259,11 @@ class TestPayloadStorage:
 class TestConcurrentServiceWorkers:
     """The WAL + busy-timeout configuration service workers rely on."""
 
-    def test_wal_mode_and_busy_timeout_pragmas(self, tmp_path):
-        with ReliabilityCache(str(tmp_path), busy_timeout_ms=12345) as cache:
+    def test_wal_mode_and_busy_timeout_pragmas(self, tmp_path, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "BUSY_TIMEOUT_MS", 12345)
+        with ReliabilityCache(str(tmp_path)) as cache:
             (mode,) = cache._conn.execute(
                 "PRAGMA journal_mode"
             ).fetchone()

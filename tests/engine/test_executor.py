@@ -294,28 +294,33 @@ class TestWorkerMetricsAggregation:
 
 
 class TestPoolWorkerExit:
-    def test_pool_workers_land_sharded_write_back_buffers(self, tmp_path):
-        """Regression: pool workers closed their cache from ``atexit``,
-        which a fork-started worker never runs, so the sharded tier's
-        buffered writes died with the workers and a serial re-run of
-        the batch on the same directory got 0 of 40 hits."""
+    @pytest.mark.parametrize("executor", ["pool", "queue"])
+    def test_pool_and_queue_workers_land_cache_writes(self, tmp_path,
+                                                      executor):
+        """Every worker's cache writes land in the one cache file: a
+        serial re-run of the batch on the same directory gets all 40
+        hits, and every entry audits clean."""
+        from repro.verify import audit_cache
         from repro.verify.corpus import parallel_case, series_case
 
         cases = [series_case(p=0.01 + 1e-3 * i, n=2 + i % 4)
                  for i in range(20)]
         cases += [parallel_case(p=0.02 + 1e-3 * i, k=2 + i % 3)
                   for i in range(20)]
-        batch = BatchSpec("sharded-pool", [
+        batch = BatchSpec("cache-writes", [
             Job(job_id=f"s{i}", kind="reliability",
                 payload={"problem": c.problem, "method": "bdd"})
             for i, c in enumerate(cases)
         ])
-        cache = dict(cache_dir=str(tmp_path / "cache"),
-                     cache_backend="sharded", cache_shards=16)
-        pooled = run_batch(batch, jobs=2, **cache)
-        assert pooled.num_failed == 0
-        serial = run_batch(batch, jobs=1, **cache)
+        cache_dir = str(tmp_path / "cache")
+        workers = run_batch(batch, jobs=2, executor=executor,
+                            cache_dir=cache_dir)
+        assert workers.num_failed == 0
+        serial = run_batch(batch, jobs=1, cache_dir=cache_dir)
         assert serial.cache_hits == len(batch.jobs)
+        report = audit_cache(cache_dir, sample=len(batch.jobs))
+        assert report.audited == len(batch.jobs)
+        assert report.findings == []
 
 
 # Module-level runners so they pickle / survive the fork into pool workers.

@@ -214,15 +214,3 @@ class TestAutoTuningKnobs:
             tuning=AutoTuning(scipy_vars=500, scipy_constrs=500),
         )
         assert res.backend == "bnb"
-
-    def test_process_override_via_configure(self):
-        from repro.ilp import configure_auto
-        from repro.ilp.solver import _DEFAULT_TUNING
-
-        saved = (_DEFAULT_TUNING.scipy_vars, _DEFAULT_TUNING.scipy_constrs)
-        try:
-            configure_auto(scipy_vars=5)
-            res = solve(self.make(10), backend="auto")
-            assert res.backend == "scipy"
-        finally:
-            configure_auto(scipy_vars=saved[0], scipy_constrs=saved[1])

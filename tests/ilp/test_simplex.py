@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -400,6 +400,23 @@ def mixed_lp(draw):
     return c, a, senses, b, lb, ub, var
 
 
+#: A ``mixed_lp()`` draw whose cold-then-warm solve reaches all four
+#: cases ``test_mixed_lps_cold_then_warm`` asserts (a free column, a
+#: column at its upper bound, a bound flip and an eviction pivot), found
+#: once by a hypothesis search and frozen so the assertion holds for
+#: every seed, not only for the draws that happen to reach each case.
+_ALL_CASES_LP = (
+    np.array([0.0, 0.0, 0.0, 0.0]),
+    np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]),
+    ["<=", "<=", "<=", "<="],
+    np.array([0.0, 0.0, 0.0, -1.0]),
+    np.array([0.0, 0.0, 0.0, -INF]),
+    np.array([1.0, 1.0, 1.0, INF]),
+    0,
+)
+
+
 class TestKeptPricingState:
     """The state ``_pivot`` keeps current equals a rebuild from the flags,
     bounds and basis at every pricing, dual ratio test and dual
@@ -423,6 +440,7 @@ class TestKeptPricingState:
 
     def test_mixed_lps_cold_then_warm(self):
         @given(mixed_lp())
+        @example(_ALL_CASES_LP)
         @settings(max_examples=150, deadline=None)
         def cold_then_warm(problem):
             c, a, senses, b, lb, ub, var = problem

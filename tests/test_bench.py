@@ -137,22 +137,6 @@ class TestBenchCLI:
         assert "ILP-MR warm vs cold" in printed
         assert "min ILP-MR speedup" in printed
 
-    def test_cli_auto_threshold_flags(self, monkeypatch, capsys):
-        from repro.cli import main
-        from repro.ilp.solver import _DEFAULT_TUNING
-
-        saved = (_DEFAULT_TUNING.scipy_vars, _DEFAULT_TUNING.scipy_constrs)
-        try:
-            rc = main([
-                "synthesize", "--size", "2", "--target", "1e-3",
-                "--auto-scipy-vars", "10", "--auto-scipy-constrs", "20",
-            ])
-            assert rc == 0
-            assert _DEFAULT_TUNING.scipy_vars == 10
-            assert _DEFAULT_TUNING.scipy_constrs == 20
-        finally:
-            _DEFAULT_TUNING.scipy_vars, _DEFAULT_TUNING.scipy_constrs = saved
-
 
 def make_doc(warm=0.1, cold=1.0, profile="unit"):
     """A minimal bench document carrying one ILP-MR row."""
@@ -312,22 +296,10 @@ class TestBenchSentinelCLI:
 
 
 class TestConcurrencyRows:
-    def test_cache_contention_row_shape_and_speedup(self):
-        from repro.bench import _ROW_REQUIRED, _cache_contention_row
-
-        row = _cache_contention_row(2, 40)
-        assert _ROW_REQUIRED["cache_contention"] <= set(row)
-        assert row["all_writes_landed"] is True
-        assert row["speedup"] > 0
-        assert row["sharded_writes_per_second"] > 0
-
     def test_new_kinds_flatten_into_history_metrics(self):
         from repro.bench import _entry_metrics
 
         doc = {"rows": [
-            {"kind": "cache_contention", "instance": "writers-2x10",
-             "single_writer_per_second": 100.0,
-             "sharded_writes_per_second": 300.0, "speedup": 3.0},
             {"kind": "queue_throughput", "instance": "noop-4x2",
              "jobs_per_second": 42.0},
             {"kind": "sharded_sweep", "instance": "bdd-8x2",
@@ -335,7 +307,6 @@ class TestConcurrencyRows:
              "queue_jobs_per_second": 16.0},
         ]}
         metrics = _entry_metrics(doc)
-        assert metrics["cache_contention/writers-2x10/speedup"] == 3.0
         assert metrics["queue_throughput/noop-4x2/jobs_per_second"] == 42.0
         assert metrics["sharded_sweep/bdd-8x2/queue_seconds"] == 0.5
 
@@ -347,11 +318,13 @@ class TestConcurrencyRows:
         assert _metric_direction("a/queue_seconds") == "lower"
 
     def test_validation_accepts_new_row_kinds(self):
-        from repro.bench import _cache_contention_row
+        from repro.bench import _sharded_sweep_row
 
+        row = _sharded_sweep_row(4, 2)
+        assert row["values_identical"] is True
         doc = {
             "schema": BENCH_SCHEMA, "profile": "tiny",
-            "environment": {}, "rows": [_cache_contention_row(2, 20)],
+            "environment": {}, "rows": [row],
             "summary": {"ilp_mr_min_speedup": None,
                         "all_costs_identical": True},
         }
