@@ -531,6 +531,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     persist under ``--runs-dir``; ``--resume`` requeues whatever a
     previous (crashed or killed) service left PENDING or RUNNING.
     """
+    import signal
+    import threading
     import time as _time
 
     from .service import JobQueue, RunStore, ServiceServer, resume_interrupted
@@ -570,6 +572,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         _time.time() + args.max_runtime if args.max_runtime is not None
         else None
     )
+    # ``kill`` (SIGTERM) stops the service the way Ctrl-C does, so the
+    # queue's pool workers exit with it instead of outliving it.
+    on_term = None
+    if threading.current_thread() is threading.main_thread():
+        on_term = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         while deadline is None or _time.time() < deadline:
             _time.sleep(0.2)
@@ -580,6 +587,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         server.stop()
         # Unstarted runs stay PENDING on disk for the next --resume.
         queue.shutdown(wait=True, timeout=args.drain_timeout)
+        if on_term is not None:
+            signal.signal(signal.SIGTERM, on_term)
     return 0
 
 

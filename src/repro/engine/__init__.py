@@ -13,7 +13,8 @@ turns those piles into first-class batches:
   :func:`iter_batch`, one dispatch loop (submit, collect, retry, stop)
   over three transports: in-process (``jobs=1``), a
   ``concurrent.futures`` process pool with per-job timeouts, and the
-  file queue; every mode yields the same results and journal;
+  file queue; every mode yields the same results and journal. A
+  :class:`WorkerPool` keeps a pool's workers from one batch to the next;
 * :mod:`repro.engine.queue_exec` — the ``executor="queue"`` transport: a
   file-backed work queue with atomic-rename leases, heartbeats and
   digest-level job dedup, drained by local or standalone
@@ -34,6 +35,7 @@ from .cache import CacheStats, ReliabilityCache, problem_digest
 from .executor import (
     EXECUTOR_MODES,
     BatchResult,
+    WorkerPool,
     execute_job,
     iter_batch,
     register_runner,
@@ -68,6 +70,7 @@ __all__ = [
     "JobResult",
     "ReliabilityCache",
     "TelemetryWriter",
+    "WorkerPool",
     "budget_bisection",
     "completed_jobs",
     "contingency_sweep",

@@ -21,12 +21,25 @@ envelope — the value, or the error's message, type and whether it is
 transient — with the job's wall time, pid and cache traffic, so a result
 looks the same whichever transport carried it.
 
+A :class:`WorkerPool` owns the process pool: the executor and what its
+workers inherited at fork (worker count, absolute ``cache_dir``, runner
+generation). ``run_batch(..., pool=)`` takes a caller's pool, which
+keeps its idle workers from one clean batch to the next; the service's
+:class:`repro.service.JobQueue` keeps one for its life. Without a pool
+argument a pool batch makes a batch-scoped one, so workers live for one
+batch. A batch that times a job out, is stopped, or rebuilds a broken
+pool shuts its executor down instead of handing it back, and a pool
+whose workers inherited other values (or one of whose workers died
+while idle) is replaced by a fresh fork.
+
 Pool workers and queue workers share one runtime: :func:`worker_runtime`
-sets a worker process up, and each job runs through one wrapper that
-ships the job's spans and metrics delta to the worker's telemetry spool
-before its envelope goes back. The coordinator folds the spools with a
-:class:`repro.obs.SpoolCollector` before yielding each result, so worker
-telemetry has one route home.
+sets a worker process up once for its life, and each job runs through
+one wrapper that ships the job's spans and metrics delta to the worker's
+telemetry spool before its envelope goes back. A pool job carries its
+batch's spool directory, trace context and log fields, and a worker
+opens a spool for a batch at that batch's first job. The coordinator
+folds the spools with a :class:`repro.obs.SpoolCollector` before
+yielding each result, so worker telemetry has one route home.
 
 Failures are contained per job: a failed job yields
 ``JobResult(ok=False, ...)`` instead of poisoning the batch, and a
@@ -38,9 +51,12 @@ runs it to completion in the background and its result is discarded.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import shutil
+import signal
 import tempfile
+import threading
 import time
 import traceback
 from collections import deque
@@ -48,7 +64,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from multiprocessing.util import Finalize
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -62,6 +77,7 @@ from .telemetry import TelemetryWriter
 __all__ = [
     "BatchResult",
     "EXECUTOR_MODES",
+    "WorkerPool",
     "run_batch",
     "iter_batch",
     "execute_job",
@@ -160,9 +176,17 @@ _KIND_PLUGINS: Dict[str, str] = {
 }
 
 
+#: Bumped by :func:`register_runner`: workers forked before a
+#: registration do not know the new kind, so a :class:`WorkerPool` does
+#: not hand their executor to a later batch.
+_RUNNER_GENERATION = 0
+
+
 def register_runner(kind: str, fn: Callable[[Job], Any]) -> Callable[[Job], Any]:
     """Register a runner for a custom job ``kind`` (extension point)."""
+    global _RUNNER_GENERATION
     _RUNNERS[kind] = fn
+    _RUNNER_GENERATION += 1
     return fn
 
 
@@ -233,19 +257,41 @@ def _worker_run(job: Job) -> Dict[str, Any]:
     return envelope
 
 
+class _SpoolSlot:
+    """The spool a worker process writes to: one per spool directory.
+
+    A queue worker opens one for its life; a pool worker, which may
+    serve many batches, opens one per batch, at that batch's first job.
+    The file is opened while the batch's directory exists, so a late
+    write never recreates a directory its coordinator removed.
+    """
+
+    def __init__(self) -> None:
+        self.spool: Optional[obs.TelemetrySpool] = None
+
+    def open(self, spool_dir: Union[str, Path]) -> "obs.TelemetrySpool":
+        path = Path(spool_dir) / f"worker-{os.getpid()}.jsonl"
+        if self.spool is None or self.spool.path != path:
+            self.close()
+            self.spool = obs.TelemetrySpool(path)
+        return self.spool
+
+    def close(self) -> None:
+        spool, self.spool = self.spool, None
+        if spool is not None:
+            spool.close()
+
+
 @contextmanager
-def worker_runtime(
-    spool_dir: Union[str, Path],
-    cache_dir: Optional[str],
-) -> Iterator["obs.TelemetrySpool"]:
-    """Set up one pool or queue worker process; yields its spool.
+def worker_runtime(cache_dir: Optional[str]) -> Iterator[_SpoolSlot]:
+    """Set up one pool or queue worker process for its life.
 
     Installs the shared reliability cache, drops a tracer and open-span
     stack inherited through fork (a worker traces each job under the
     coordinator's context instead, see :func:`_run_shipped`), observes
-    metrics, and opens the worker's spool ``<spool_dir>/worker-<pid>.jsonl``
-    while the directory exists, into which B&B search events stream. On
-    exit the cache closes and the spool ships a final metrics delta.
+    metrics, and streams B&B search events into the spool the yielded
+    slot holds. On exit the cache closes and that spool ships a final
+    metrics delta.
     """
     from ..ilp.search_events import capture_search_events
     from ..reliability.exact import set_reliability_cache
@@ -256,17 +302,20 @@ def worker_runtime(
     obs.reset_span_stack()
     obs.add_observer()
     pid = os.getpid()
-    spool = obs.TelemetrySpool(Path(spool_dir) / f"worker-{pid}.jsonl")
+    slot = _SpoolSlot()
+
+    def bnb_event(ev: Dict[str, Any]) -> None:
+        if slot.spool is not None:
+            slot.spool.emit("bnb_event", worker_pid=pid, **ev)
+
     try:
-        with capture_search_events(
-            lambda ev: spool.emit("bnb_event", worker_pid=pid, **ev)
-        ):
-            yield spool
+        with capture_search_events(bnb_event):
+            yield slot
     finally:
         set_reliability_cache(previous)
         cache.close()
         obs.remove_observer()
-        spool.close()
+        slot.close()
 
 
 def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
@@ -291,25 +340,39 @@ def _run_shipped(job: Job, spool: "obs.TelemetrySpool",
         spool.ship_metrics(job=job.job_id)
 
 
-#: A pool worker's ``(spool, trace context)``, set by :func:`_worker_init`.
-_POOL_WORKER: Tuple[Any, ...] = ()
+#: A pool worker's spool slot, set by :func:`_worker_init`.
+_POOL_SPOOLS = _SpoolSlot()
 
 
-def _worker_init(spool_dir: str, trace_ctx: Optional["obs.TraceContext"],
-                 cache_dir: Optional[str]) -> None:
+def _worker_init(cache_dir: Optional[str]) -> None:
     """Pool initializer: enter the worker runtime for the worker's life."""
-    global _POOL_WORKER
+    global _POOL_SPOOLS
+    # A worker dies on SIGTERM (its pool's teardown of a broken pool),
+    # whatever handler the parent had installed (``repro serve`` maps
+    # SIGTERM to Ctrl-C).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     runtime = ExitStack()
-    spool = runtime.enter_context(worker_runtime(spool_dir, cache_dir))
+    _POOL_SPOOLS = runtime.enter_context(worker_runtime(cache_dir))
     # atexit never runs in a fork-started worker; multiprocessing's exit
     # hook does, so the cache still closes and the final ship lands.
     Finalize(None, runtime.close, exitpriority=0)
-    _POOL_WORKER = (spool, trace_ctx)
 
 
-def _pool_run(job: Job) -> Dict[str, Any]:
-    spool, trace_ctx = _POOL_WORKER
-    return _run_shipped(job, spool, trace_ctx)
+def _pool_run(job: Job, spool_dir: str,
+              trace_ctx: Optional["obs.TraceContext"],
+              log_fields: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one pool job under its batch's spool, trace and log fields.
+
+    The job runs in an empty ``contextvars`` context: its worker may
+    outlive the batch whose thread forked it, so nothing that thread had
+    set (log fields, a trace context, open spans) may follow a later
+    batch's job.
+    """
+    def run() -> Dict[str, Any]:
+        with obs.log_context(**log_fields):
+            return _run_shipped(job, _POOL_SPOOLS.open(spool_dir), trace_ctx)
+
+    return contextvars.Context().run(run)
 
 
 def worker_trace_context(batch_name: str) -> Optional["obs.TraceContext"]:
@@ -432,6 +495,84 @@ class _InlineTransport:
         self._scope.close()
 
 
+def _fork_pool(workers: int, cache_dir: Optional[str]) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+                               initargs=(cache_dir,))
+
+
+def _workers_alive(executor: ProcessPoolExecutor) -> bool:
+    """False once a worker of ``executor`` has died.
+
+    ``ProcessPoolExecutor`` has no public health check. Its manager
+    thread flags it ``_broken`` when it sees a worker die, and a worker
+    killed a moment ago may not be flagged yet, so the worker processes
+    are polled first and the flag read after.
+    """
+    processes = getattr(executor, "_processes", None) or {}
+    alive = all(p.is_alive() for p in list(processes.values()))
+    return alive and not getattr(executor, "_broken", False)
+
+
+class WorkerPool:
+    """A process pool kept across batches by the caller that owns it.
+
+    Holds at most one idle ``ProcessPoolExecutor`` with what its workers
+    inherited at fork: the worker count, the absolute ``cache_dir`` and
+    the runner generation that :func:`register_runner` bumps. A pool
+    batch takes the executor (:meth:`take`) when all three match its own
+    and its workers are alive, and forks a new one otherwise; forking is
+    lazy, so a pool no batch has taken holds no process. The batch hands
+    the executor back (:meth:`release`) only when it ended clean. The
+    spool directory, trace context and log fields ride on each submit
+    instead.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._inherited: Optional[Tuple[int, Optional[str], int]] = None
+        self._taken = False
+        self._closed = False
+
+    def take(self, workers: int, cache_dir: Optional[str]
+             ) -> Optional[ProcessPoolExecutor]:
+        """An executor for one batch; ``None`` while another batch holds
+        this pool, or once it is closed."""
+        cache_dir = os.path.abspath(cache_dir) if cache_dir else None
+        inherited = (workers, cache_dir, _RUNNER_GENERATION)
+        with self._lock:
+            if self._taken or self._closed:
+                return None
+            self._taken = True
+            held, self._executor = self._executor, None
+            if (held is not None and inherited == self._inherited
+                    and _workers_alive(held)):
+                return held
+            self._inherited = inherited
+        if held is not None:
+            held.shutdown(wait=True)
+        return _fork_pool(workers, cache_dir)
+
+    def release(self, executor: Optional[ProcessPoolExecutor]) -> None:
+        """End a batch's hold. ``executor`` is the one it took, with idle
+        workers, kept for the next batch; ``None`` when the batch shut
+        its executor down."""
+        with self._lock:
+            self._taken = False
+            if not self._closed:
+                self._executor, executor = executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    def close(self) -> None:
+        """Shut the held executor down; no batch takes this pool again."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+
 class _PoolTransport:
     """A process pool: per-job timeouts, spool folding, pool rebuilds.
 
@@ -442,17 +583,18 @@ class _PoolTransport:
     mode = "pool"
 
     def __init__(self, batch_name: str, jobs: int, timeout: Optional[float],
-                 writer: TelemetryWriter, cache_dir: Optional[str]) -> None:
+                 writer: TelemetryWriter, cache_dir: Optional[str],
+                 pool: Optional[WorkerPool]) -> None:
         # Workers spool their telemetry into a per-batch directory that
         # the collector folds home. With no tracer and no trace context
-        # active, workers skip span collection.
+        # active, workers skip span collection. Each job carries what a
+        # worker that outlives this batch must not keep.
         self._spool_dir = tempfile.mkdtemp(prefix="repro-pool-")
         self._collector = obs.SpoolCollector(self._spool_dir, writer=writer)
-        self._make_pool = partial(
-            ProcessPoolExecutor, max_workers=jobs, initializer=_worker_init,
-            initargs=(self._spool_dir, worker_trace_context(batch_name),
-                      cache_dir),
-        )
+        self._batch_args = (self._spool_dir, worker_trace_context(batch_name),
+                            obs.current_log_context())
+        self._workers = jobs
+        self._cache_dir = os.path.abspath(cache_dir) if cache_dir else None
         self._timeout = timeout
         self._writer = writer
         # future -> (job, attempts, submitted_at)
@@ -460,11 +602,19 @@ class _PoolTransport:
         self._restarts = 0
         # Set once a worker may still be busy with a job nobody waits for.
         self._abandoned = False
-        self._pool = self._make_pool()
+        # The caller's pool, or a batch-scoped one when there is none or
+        # another batch holds it.
+        self._owner = pool
+        executor = pool.take(jobs, self._cache_dir) if pool is not None else None
+        if executor is None:
+            self._owner = WorkerPool()
+            executor = self._owner.take(jobs, self._cache_dir)
+        self._scoped = self._owner is not pool
+        self._executor = executor
 
     def submit(self, job: Job, attempts: int) -> None:
         try:
-            fut = self._pool.submit(_pool_run, job)
+            fut = self._executor.submit(_pool_run, job, *self._batch_args)
         except BrokenProcessPool as exc:
             # The pool broke under another job: park this one on a failed
             # future, so the rebuild below resubmits it with the rest.
@@ -504,13 +654,13 @@ class _PoolTransport:
         in-flight jobs fail instead.
         """
         self._restarts += 1
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._executor.shutdown(wait=False, cancel_futures=True)
         exhausted = self._restarts > MAX_WORKER_RESTARTS
         if exhausted:
             self._abandoned = True
         else:
             self._writer.emit("pool_restart", count=self._restarts)
-            self._pool = self._make_pool()
+            self._executor = _fork_pool(self._workers, self._cache_dir)
         inflight, self._pending = self._pending, {}
         for fut, (job, attempts, _) in inflight.items():
             if fut.done() and fut.exception() is None:
@@ -544,12 +694,20 @@ class _PoolTransport:
             )
 
     def close(self) -> None:
-        # A drained pool's workers are idle and exit at once, so waiting
-        # lands their exit ship and cache flush before the final fold. A
+        # A batch that ended clean hands its idle workers back to the
+        # pool's owner; a batch-scoped owner then shuts them down and
+        # waits, which lands their exit ships before the final fold. A
         # worker still busy with a timed-out job, or with a stopped
-        # batch's job, is not waited for.
-        self._pool.shutdown(wait=not (self._pending or self._abandoned),
-                            cancel_futures=True)
+        # batch's job, is not waited for, and a rebuilt pool is not
+        # handed back.
+        idle = not (self._pending or self._abandoned)
+        if idle and not self._restarts:
+            self._owner.release(self._executor)
+        else:
+            self._executor.shutdown(wait=idle, cancel_futures=True)
+            self._owner.release(None)
+        if self._scoped:
+            self._owner.close()
         self._collector.drain()
         shutil.rmtree(self._spool_dir, ignore_errors=True)
 
@@ -618,6 +776,7 @@ def iter_batch(
     writer: Optional[TelemetryWriter] = None,
     executor: Optional[str] = None,
     queue_dir: Optional[str] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Iterator[JobResult]:
     """Execute ``batch`` and yield :class:`JobResult` as each completes.
 
@@ -626,7 +785,8 @@ def iter_batch(
     through the file-backed work queue (:mod:`repro.engine.queue_exec`),
     spawning ``jobs`` local worker processes against ``queue_dir``.
     Pool and queue modes yield in completion order; serial mode in
-    submission order.
+    submission order. A pool batch runs on ``pool``'s workers when it
+    can take them (see :class:`WorkerPool`), else on a batch-scoped pool.
     """
     mode = executor if executor is not None else ("serial" if jobs <= 1 else "pool")
     if mode not in EXECUTOR_MODES:
@@ -650,7 +810,7 @@ def iter_batch(
         transport = (
             _InlineTransport(writer, cache_dir) if mode == "serial"
             else _PoolTransport(batch.name, max(jobs, 1), timeout, writer,
-                                cache_dir)
+                                cache_dir, pool)
         )
         yield from _dispatch(batch, transport, retries, writer)
     finally:
@@ -668,6 +828,7 @@ def run_batch(
     should_stop: Optional[Callable[[], bool]] = None,
     executor: Optional[str] = None,
     queue_dir: Optional[str] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> BatchResult:
     """Execute a whole batch and collect results in submission order.
 
@@ -693,6 +854,10 @@ def run_batch(
     queue_dir:
         Queue-mode only: directory holding the shared work queue; a
         temporary queue is created (and discarded) when omitted.
+    pool:
+        Pool-mode only: a :class:`WorkerPool` whose workers the batch
+        takes and, when it ends clean, hands back for the next batch;
+        without one the batch forks and reaps its own.
     on_result:
         Called with each :class:`JobResult` the moment it completes (in
         completion order) — the service journals results through this so
@@ -727,7 +892,7 @@ def run_batch(
                 for result in iter_batch(
                     batch, jobs=jobs, cache_dir=cache_dir, retries=retries,
                     timeout=timeout, writer=writer, executor=executor,
-                    queue_dir=queue_dir,
+                    queue_dir=queue_dir, pool=pool,
                 ):
                     results.append(result)
                     done += 1

@@ -519,7 +519,8 @@ def run_worker(
     if base_ctx is not None:
         worker_fields.update(base_ctx.fields)
 
-    with worker_runtime(queue.spool_dir, cache_dir) as spool:
+    with worker_runtime(cache_dir) as spools:
+        spool = spools.open(queue.spool_dir)
         with obs.log_context(**worker_fields):
             obs.log("worker.started", queue=str(queue.path))
             while True:

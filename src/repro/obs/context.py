@@ -6,9 +6,9 @@ the remote side should parent to, and free-form correlation fields (run
 id, batch name, job digest) that ride along into structured logs.
 
 The coordinators (``iter_queue``, the process pool) and the service
-runner mint one, hand it to the workers (the queue's ``trace.json``, the
-pool's worker initializer), and workers :func:`activate <trace_context>`
-it before opening spans.
+runner mint one, hand it to the workers (the queue's ``trace.json``,
+each pool job's submit arguments), and workers :func:`activate
+<trace_context>` it before opening spans.
 Root spans opened under an active context adopt its trace id and record
 the remote parent uid, so a stitched trace (:func:`repro.obs.export.
 stitch_chrome_trace`) connects every worker span back to the

@@ -10,10 +10,16 @@ the queue's default) enforced at job boundaries by the runner.
 Runs execute one per worker thread; the parallelism *within* a run comes
 from the engine's process pool (``spec.jobs`` / ``batch_jobs``), so a
 single-worker queue with ``batch_jobs=4`` already saturates four cores.
-The persistent reliability cache is shared by every run through
-``cache_dir``: one SQLite file in WAL mode with a busy timeout, so
-concurrent runs and their pool workers queue for its writer lock
-instead of failing.
+The queue owns that pool, a :class:`repro.engine.WorkerPool`: it forks
+at the first pool run, keeps its idle workers from one run to the next,
+and is closed by :meth:`JobQueue.shutdown`. A run forks a new pool when
+the previous one ended unclean (a timed-out job, a cancelled run, a
+rebuilt pool) or when its worker count, ``cache_dir`` or the registered
+job kinds differ, and a run that finds the pool busy (``workers > 1``)
+forks one of its own. The persistent reliability cache is shared by
+every run through ``cache_dir``: one SQLite file in WAL mode with a busy
+timeout, so concurrent runs and their pool workers queue for its writer
+lock instead of failing.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import threading
 from typing import Any, Dict, List, Optional
 
 from .. import obs
+from ..engine import WorkerPool
 from .runner import execute_run
 from .store import CANCELLED, PENDING, RUNNING, RunRecord, RunStore
 
@@ -53,6 +60,7 @@ class JobQueue:
         self._idle = threading.Condition(self._lock)
         self._inflight = 0
         self._stopping = False
+        self.pool = WorkerPool()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -84,6 +92,10 @@ class JobQueue:
         claim share one lock (see :meth:`_execute`), so after the flag is
         set here no further run can slip into RUNNING: every run is
         either claimed by a worker that will seal it, or still PENDING.
+
+        The pool closes last: its idle workers exit here, and a run
+        still in flight shuts its workers down when its batch ends. A
+        restarted queue gets a new pool, which forks at its first run.
         """
         if drain is not None:
             wait = drain
@@ -95,6 +107,8 @@ class JobQueue:
             for thread in self._threads:
                 thread.join(timeout=timeout)
         self._threads = []
+        pool, self.pool = self.pool, WorkerPool()
+        pool.close()
 
     # -- submission -------------------------------------------------------
 
@@ -210,6 +224,7 @@ class JobQueue:
                 jobs=self.batch_jobs,
                 cache_dir=self.cache_dir,
                 timeout=self.default_timeout,
+                pool=self.pool,
             )
         except Exception:  # noqa: BLE001 - the loop must survive anything
             # execute_run seals failures itself; this guards the guard.

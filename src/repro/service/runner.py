@@ -34,7 +34,7 @@ import traceback
 from typing import Any, Dict, List, Optional
 
 from .. import obs
-from ..engine import BatchSpec, run_batch
+from ..engine import BatchSpec, WorkerPool, run_batch
 from ..engine.telemetry import completed_jobs, read_events, summarize_telemetry
 from ..report import render_batch_summary
 from .evidence import pack_evidence
@@ -330,6 +330,7 @@ def execute_run(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     timeout: Optional[float] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> RunRecord:
     """Execute one stored run to a terminal state and seal its evidence.
 
@@ -344,6 +345,10 @@ def execute_run(
     timeout:
         Wall-clock budget for the whole run; overrides the spec's own
         ``timeout`` when the spec gives none.
+    pool:
+        The caller's :class:`repro.engine.WorkerPool`, whose workers a
+        pool batch takes and hands back (the queue keeps one for its
+        life); without one a pool batch forks its own.
     """
     spec = record.spec()
     if record.state != RUNNING:
@@ -420,6 +425,7 @@ def execute_run(
             telemetry=str(record.path / TELEMETRY_NAME),
             on_result=on_result,
             should_stop=should_stop,
+            pool=pool,
         )
 
         # Merge replayed + fresh results back into submission order.

@@ -26,6 +26,7 @@ versions, and the solver/batch statistics the runner fills in at the end.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -98,7 +99,8 @@ class StateError(RuntimeError):
     """An illegal run-state transition was attempted."""
 
 
-def _tracked_packages() -> Dict[str, str]:
+@functools.lru_cache(maxsize=None)
+def _package_versions() -> Dict[str, str]:
     from importlib import metadata
 
     versions: Dict[str, str] = {}
@@ -110,20 +112,37 @@ def _tracked_packages() -> Dict[str, str]:
     return versions
 
 
-def _git_commit() -> Optional[Dict[str, Any]]:
-    root = Path(__file__).resolve().parents[3]
+def _tracked_packages() -> Dict[str, str]:
+    """Versions of the tracked packages, read once per process: they
+    describe the code this process loaded."""
+    return dict(_package_versions())
+
+
+#: The checkout this package runs from.
+_CHECKOUT = Path(__file__).resolve().parents[3]
+
+
+def _git_commit(root: Path = _CHECKOUT) -> Optional[Dict[str, Any]]:
+    """HEAD's commit and whether the tree is dirty, from one ``git status``.
+
+    ``None`` outside a checkout and on an unborn branch. Every line of
+    ``--porcelain=v2`` output but the ``#`` headers names a changed or
+    untracked path.
+    """
     try:
-        commit = subprocess.run(
-            ["git", "-C", str(root), "rev-parse", "HEAD"],
+        out = subprocess.run(
+            ["git", "-C", str(root), "status", "--porcelain=v2", "--branch"],
             capture_output=True, text=True, timeout=5.0, check=True,
-        ).stdout.strip()
-        dirty = bool(subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain"],
-            capture_output=True, text=True, timeout=5.0, check=True,
-        ).stdout.strip())
-        return {"commit": commit, "dirty": dirty}
-    except Exception:  # pragma: no cover - no git / not a checkout
+        ).stdout
+    except (OSError, subprocess.SubprocessError):  # no git / not a checkout
         return None
+    lines = out.splitlines()
+    commit = next((line.split()[2] for line in lines
+                   if line.startswith("# branch.oid ")), None)
+    if commit is None or commit == "(initial)":
+        return None
+    return {"commit": commit,
+            "dirty": any(not line.startswith("#") for line in lines)}
 
 
 def capture_environment() -> Dict[str, Any]:

@@ -1,17 +1,23 @@
 """Tests for the batch executor: serial/parallel equivalence, retries,
 timeouts, and the job builders."""
 
+import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.engine import (
     BatchSpec,
     Job,
+    WorkerPool,
     budget_bisection,
     contingency_sweep,
     execute_job,
     iter_batch,
+    read_events,
     register_runner,
     reliability_map,
     requirement_sweep,
@@ -357,6 +363,201 @@ def _echo(job):
     return job.payload["i"]
 
 
+def _nap(job):
+    time.sleep(job.payload["seconds"])
+    return job.payload["i"]
+
+
+def _kill_own_worker_once(job):
+    marker = job.payload["marker"]
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return "survived"
+
+
+def _registered_late(job):
+    return "late"
+
+
+def nap_batch(name, n=2, seconds=0.2):
+    return BatchSpec(name, [
+        Job(job_id=f"{name}-{i}", kind="nap",
+            payload={"seconds": seconds, "i": i})
+        for i in range(n)
+    ])
+
+
+def worker_pids(outcome):
+    return {r.worker_pid for r in outcome.results}
+
+
+def live_children():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+class TestWorkerPool:
+    """A ``WorkerPool`` hands a pool batch's workers to the next batch
+    only when the batch ended clean and its workers inherited what the
+    next batch needs: a batch runs on the previous one's workers exactly
+    when every job of it ran on a process alive before it started."""
+
+    @pytest.fixture()
+    def pool(self):
+        register_runner("nap", _nap)
+        pool = WorkerPool()
+        yield pool
+        pool.close()
+
+    def test_clean_batches_share_workers_and_match_serial(self, pool):
+        from repro.service.runner import canonical_results
+
+        batch = requirement_sweep(sweep_spec(), LEVELS, algorithm="mr",
+                                  backend="scipy")
+        serial = canonical_results(run_batch(batch, jobs=1).results)
+        first = run_batch(batch, jobs=2, pool=pool)
+        between = live_children()
+        second = run_batch(batch, jobs=2, pool=pool)
+        assert worker_pids(first) | worker_pids(second) <= between
+        assert len(worker_pids(first) | worker_pids(second)) <= 2
+        assert canonical_results(first.results) == serial
+        assert canonical_results(second.results) == serial
+
+    def test_timed_out_job_retires_the_workers(self, pool):
+        first = run_batch(BatchSpec("slow", [
+            Job(job_id="slow", kind="nap", payload={"seconds": 3.0, "i": 0}),
+            Job(job_id="fast", kind="nap", payload={"seconds": 0.0, "i": 1}),
+        ]), jobs=2, timeout=0.5, retries=0, pool=pool)
+        assert first.by_id()["slow"].error_type == "TimeoutError"
+        before = live_children()
+        second = run_batch(nap_batch("after"), jobs=2, pool=pool)
+        assert second.num_failed == 0
+        assert worker_pids(second).isdisjoint(before)
+
+    def test_stopped_batch_retires_the_workers(self, pool):
+        polls = []
+        first = run_batch(nap_batch("stopped", n=6, seconds=0.3), jobs=2,
+                          pool=pool,
+                          should_stop=lambda: polls.append(1) or len(polls) > 1)
+        assert first.stopped and len(first.results) < 6
+        before = live_children()
+        second = run_batch(nap_batch("after"), jobs=2, pool=pool)
+        assert second.num_failed == 0
+        assert worker_pids(second).isdisjoint(before)
+
+    def test_rebuilt_pool_is_not_kept(self, pool, tmp_path):
+        register_runner("kill-once", _kill_own_worker_once)
+        telemetry = tmp_path / "t.jsonl"
+        first = run_batch(BatchSpec("broken", [
+            Job(job_id="k", kind="kill-once",
+                payload={"marker": str(tmp_path / "killed")}),
+        ]), jobs=2, pool=pool, telemetry=str(telemetry))
+        assert first.values() == ["survived"]
+        assert [e["event"] for e in read_events(telemetry)].count(
+            "pool_restart") == 1
+        before = live_children()
+        second = run_batch(nap_batch("after"), jobs=2, pool=pool)
+        assert second.num_failed == 0
+        assert worker_pids(second).isdisjoint(before)
+
+    @pytest.mark.parametrize("change", ["workers", "cache_dir", "runner"])
+    def test_changed_inheritance_forks_a_new_pool(self, pool, tmp_path,
+                                                  change):
+        run_batch(nap_batch("first"), jobs=2, pool=pool)
+        before = live_children()
+        batch, kwargs = nap_batch("second"), {"jobs": 2}
+        if change == "workers":
+            kwargs["jobs"] = 3
+        elif change == "cache_dir":
+            kwargs["cache_dir"] = str(tmp_path / "cache")
+        else:
+            register_runner("registered-late", _registered_late)
+            batch = BatchSpec("late", [
+                Job(job_id="late", kind="registered-late", payload={}),
+            ])
+        second = run_batch(batch, pool=pool, **kwargs)
+        assert second.num_failed == 0
+        assert worker_pids(second).isdisjoint(before)
+        if change == "runner":
+            assert second.values() == ["late"]
+
+    def test_worker_killed_while_idle_costs_one_fork(self, pool, tmp_path):
+        first = run_batch(nap_batch("first"), jobs=2, pool=pool)
+        before = live_children()
+        victim = min(worker_pids(first))
+        os.kill(victim, signal.SIGKILL)
+        assert wait_until(lambda: victim not in live_children())
+        telemetry = tmp_path / "t.jsonl"
+        second = run_batch(nap_batch("second"), jobs=2, pool=pool,
+                           telemetry=str(telemetry))
+        assert second.num_failed == 0
+        assert [r.attempts for r in second.results] == [1, 1]
+        assert "pool_restart" not in [e["event"]
+                                      for e in read_events(telemetry)]
+        assert worker_pids(second).isdisjoint(before)
+
+    def test_busy_pool_leaves_a_concurrent_batch_its_own_workers(self,
+                                                                 pool):
+        outcomes = {}
+        holder = threading.Thread(target=lambda: outcomes.update(
+            held=run_batch(nap_batch("held", seconds=0.6), jobs=2,
+                           pool=pool)))
+        before = live_children()
+        holder.start()
+        # The holder's batch has taken the pool once its workers exist.
+        assert wait_until(lambda: len(live_children() - before) >= 2)
+        scoped = run_batch(nap_batch("scoped"), jobs=2, pool=pool)
+        holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert scoped.num_failed == 0 and outcomes["held"].num_failed == 0
+        assert worker_pids(scoped).isdisjoint(worker_pids(outcomes["held"]))
+        # The scoped pool was reaped; the held one serves the next batch.
+        between = live_children()
+        assert worker_pids(scoped).isdisjoint(between)
+        after = run_batch(nap_batch("after"), jobs=2, pool=pool)
+        assert worker_pids(after) <= between
+
+    def test_job_logs_carry_their_own_batch(self, pool, tmp_path):
+        """A kept worker logs each job under the batch that sent it, not
+        under the batch whose thread forked it."""
+        from repro import obs
+
+        register_runner("boom", _boom)
+        log_path = tmp_path / "log.jsonl"
+        obs.configure_obslog(path=log_path)
+        try:
+            for name in ("first", "second"):
+                run_batch(BatchSpec(name, [
+                    Job(job_id=f"{name}-job", kind="boom", payload={}),
+                ]), jobs=2, pool=pool)
+        finally:
+            obs.configure_obslog()
+        errors = [r for r in obs.read_log(log_path)
+                  if r["event"] == "engine.job_error"]
+        assert sorted((r["job"], r["batch"]) for r in errors) == [
+            ("first-job", "first"), ("second-job", "second"),
+        ]
+
+    def test_close_reaps_the_workers(self, pool):
+        first = run_batch(nap_batch("first"), jobs=2, pool=pool)
+        pool.close()
+        assert wait_until(lambda: worker_pids(first).isdisjoint(
+            live_children()))
+        # A closed pool forks nothing: a later batch brings its own.
+        second = run_batch(nap_batch("second"), jobs=2, pool=pool)
+        assert second.num_failed == 0
+        assert worker_pids(second).isdisjoint(live_children())
+
+
 class TestModeEquivalence:
     """Serial, pool and queue runs go through one dispatch loop, so a
     batch's results and journal do not depend on the executor mode."""
@@ -558,7 +759,7 @@ class TestPoolRebuildDedup:
                 self.submitted = []   # job_ids, in submission order
                 pools.append(self)
 
-            def submit(self, fn, job, trace=None):
+            def submit(self, fn, job, *batch_args):
                 fut = _FakeFuture()
                 self.submitted.append(job.job_id)
                 self.futures[job.job_id] = fut
@@ -630,7 +831,7 @@ class TestPoolBreaksDuringRebuild:
                 self.submitted = []
                 pools.append(self)
 
-            def submit(self, fn, job):
+            def submit(self, fn, job, *batch_args):
                 if self.generation == 1 and self.submitted:
                     raise BrokenProcessPool("pool broke between submissions")
                 self.submitted.append(job.job_id)

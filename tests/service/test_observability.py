@@ -23,7 +23,13 @@ from repro.service import (
     verify_evidence,
 )
 from repro.service.runner import execute_run
-from repro.service.store import TELEMETRY_NAME, TRACE_NAME, WORKER_METRICS_NAME
+from repro.service.store import (
+    RESULT_NAME,
+    TELEMETRY_NAME,
+    TRACE_NAME,
+    WORKER_METRICS_NAME,
+)
+from tests.engine.test_executor import live_children
 
 SWEEP_SPEC = {
     "kind": "sweep",
@@ -36,6 +42,16 @@ SWEEP_SPEC = {
 BNB_SWEEP_SPEC = {
     "kind": "sweep",
     "params": {"domain": "eps", "size": 2, "levels": [2e-3],
+               "backend": "bnb", "algorithm": "mr"},
+}
+
+
+# Two quick levels through the B&B backend in a two-worker pool, so the
+# workers stream search events into each run's journal.
+BNB_POOL_SWEEP_SPEC = {
+    "kind": "sweep",
+    "jobs": 2,
+    "params": {"domain": "eps", "size": 2, "levels": [2e-3, 1e-3],
                "backend": "bnb", "algorithm": "mr"},
 }
 
@@ -113,6 +129,59 @@ class TestRunObservabilityArtifacts:
         out = capsys.readouterr().out
         assert code == 0
         assert "worker metrics" in out
+
+
+class TestPoolReuseAcrossRuns:
+    def test_pool_sweeps_share_workers_and_keep_their_telemetry(
+            self, tmp_path):
+        """Two pool sweeps through one queue run on one set of workers,
+        and each run's artifacts hold that run's work and nothing else:
+        the same results, journal and search events as a serial run."""
+        from repro.engine import run_batch
+        from repro.service.runner import canonical_results
+        from repro.service.specs import build_batch, normalize_job_spec
+
+        batch = build_batch(normalize_job_spec(BNB_POOL_SWEEP_SPEC))
+        serial_journal = tmp_path / "serial.jsonl"
+        serial = run_batch(batch, jobs=1, telemetry=str(serial_journal))
+        expected = json.dumps(canonical_results(serial.results),
+                              sort_keys=True)
+        search = sorted(e["kind"] for e in read_events(serial_journal)
+                        if e["event"] == "bnb_event")
+        assert search
+
+        store = RunStore(tmp_path / "runs")
+        queue = JobQueue(store).start()
+        try:
+            first = queue.submit(BNB_POOL_SWEEP_SPEC)
+            assert queue.join(timeout=120)
+            between = live_children()
+            second = queue.submit(BNB_POOL_SWEEP_SPEC)
+            assert queue.join(timeout=120)
+        finally:
+            queue.shutdown()
+
+        pids = []
+        for record in (store.load(first.run_id), store.load(second.run_id)):
+            assert record.state == DONE
+            result = json.loads((record.path / RESULT_NAME).read_text())
+            assert json.dumps(result["results"], sort_keys=True) == expected
+            workers = json.loads(
+                (record.path / WORKER_METRICS_NAME).read_text())["workers"]
+            assert sum(
+                snap.get("engine.jobs.completed", {}).get("value", 0)
+                for snap in workers.values()
+            ) == len(batch.jobs)
+            pids.append({int(pid) for pid in workers})
+            events = read_events(record.path / TELEMETRY_NAME)
+            for kind in ("job_start", "job_end"):
+                assert sorted(e["job"] for e in events
+                              if e["event"] == kind) == sorted(batch.job_ids())
+            bnb = [e for e in events if e["event"] == "bnb_event"]
+            assert sorted(e["kind"] for e in bnb) == search
+            assert {e["worker_pid"] for e in bnb} <= pids[-1]
+        assert pids[0] | pids[1] <= between
+        assert len(pids[0] | pids[1]) <= 2
 
 
 def sse_frames(raw):

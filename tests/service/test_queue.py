@@ -5,7 +5,14 @@ an engine runner whose jobs just nap) so queue mechanics are exercised
 without paying for real synthesis.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +30,7 @@ from repro.service import (
     verify_evidence,
 )
 from repro.service.specs import _BATCH_BUILDERS, PARAM_SCHEMAS, SPEC_SCHEMA
+from tests.engine.test_executor import live_children, wait_until
 
 
 @pytest.fixture()
@@ -314,3 +322,120 @@ class TestHeartbeatLifecycle:
         finally:
             queue.shutdown()
         assert not hb.exists(), "heartbeat survived the seal"
+
+
+def run_worker_pids(record):
+    """The pool worker pids a run's ``worker_metrics.json`` names."""
+    from repro.service.store import WORKER_METRICS_NAME
+
+    doc = json.loads((record.path / WORKER_METRICS_NAME).read_text())
+    return {int(pid) for pid in doc["workers"] if pid.isdigit()}
+
+
+def session_members(sid):
+    """Live (non-zombie) processes of session ``sid``, from ``/proc``."""
+    members = set()
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = Path(entry.path, "stat").read_text()
+        except OSError:
+            continue
+        state, _ppid, _pgrp, session = stat.rsplit(")", 1)[1].split()[:4]
+        if session == str(sid) and state != "Z":
+            members.add(int(entry.name))
+    return members
+
+
+POOL_SLEEPY = {"kind": "sleepy", "jobs": 2,
+               "params": {"naps": 2, "nap_s": 0.1}}
+
+
+class TestPoolLifecycle:
+    """The queue's worker pool outlives a clean pool run, is replaced
+    after a cancelled one and exits with the queue."""
+
+    def test_cancelled_run_retires_the_pool(self, store, sleepy_kind):
+        queue = JobQueue(store).start()
+        try:
+            first = queue.submit(POOL_SLEEPY)
+            assert queue.join(timeout=60.0)
+            between = live_children()
+            cancelled = queue.submit({
+                "kind": "sleepy", "jobs": 2,
+                "params": {"naps": 100, "nap_s": 0.05},
+            })
+            assert wait_until(lambda: store.load(cancelled.run_id)
+                              .manifest["progress"]["done"] >= 1)
+            queue.cancel(cancelled.run_id)
+            assert queue.join(timeout=60.0)
+            last = queue.submit(POOL_SLEEPY)
+            assert queue.join(timeout=60.0)
+        finally:
+            queue.shutdown()
+        assert store.load(cancelled.run_id).state == CANCELLED
+        assert run_worker_pids(store.load(first.run_id)) <= between
+        assert run_worker_pids(store.load(cancelled.run_id)) <= between
+        assert store.load(last.run_id).state == DONE
+        assert run_worker_pids(store.load(last.run_id)).isdisjoint(between)
+
+    def test_shutdown_reaps_the_pool(self, store, sleepy_kind):
+        before = live_children()
+        queue = JobQueue(store).start()
+        try:
+            record = queue.submit(POOL_SLEEPY)
+            assert queue.join(timeout=60.0)
+            workers = run_worker_pids(store.load(record.run_id))
+            assert workers and workers <= live_children()  # kept idle
+        finally:
+            queue.shutdown()
+        assert wait_until(lambda: not live_children() - before)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads session membership from /proc")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                             ids=["SIGINT", "SIGTERM"])
+    def test_serve_leaves_no_process_of_its_session(self, tmp_path, signum):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        port_file = tmp_path / "port"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--port-file", str(port_file), "--runs-dir",
+             str(tmp_path / "runs"), "--max-runtime", "120"],
+            cwd=tmp_path, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, start_new_session=True,
+        )
+        try:
+            assert wait_until(lambda: port_file.exists()
+                              and port_file.read_text().strip(), 60.0)
+            base = f"http://127.0.0.1:{int(port_file.read_text())}"
+            spec = {"kind": "sweep", "jobs": 2,
+                    "params": {"domain": "eps", "size": 2,
+                               "levels": [2e-3, 2e-6],
+                               "backend": "scipy", "algorithm": "mr"}}
+            req = urllib.request.Request(
+                f"{base}/api/jobs", data=json.dumps(spec).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST")
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                run_id = json.loads(resp.read())["run_id"]
+            assert wait_until(lambda: json.loads(urllib.request.urlopen(
+                f"{base}/api/jobs/{run_id}", timeout=30).read())["terminal"],
+                120.0)
+            record = RunStore(tmp_path / "runs").load(run_id)
+            assert record.state == DONE
+            workers = run_worker_pids(record)
+            # The pool outlives the run, inside the server's session.
+            assert workers and workers <= session_members(proc.pid)
+            proc.send_signal(signum)
+            assert proc.wait(timeout=60) == 0
+            assert wait_until(lambda: not session_members(proc.pid))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in session_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)

@@ -1,6 +1,8 @@
 """Run store: manifests, the state machine, journal, and housekeeping."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
@@ -202,6 +204,49 @@ class TestEnvironmentCapture:
         # Inside this checkout, git data should resolve.
         if env["git"] is not None:
             assert len(env["git"]["commit"]) == 40
+
+    def test_package_versions_are_copies(self):
+        from repro.service.store import _tracked_packages
+
+        first = _tracked_packages()
+        first["numpy"] = "tampered"
+        assert _tracked_packages().get("numpy") != "tampered"
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_one_git_call_matches_two(self, tmp_path):
+        """``git status --porcelain=v2 --branch`` gives what ``rev-parse
+        HEAD`` plus ``status --porcelain`` gave, in every state."""
+        from repro.service.store import _git_commit
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-C", str(tmp_path), "-c", "user.name=t",
+                 "-c", "user.email=t@example.com",
+                 "-c", "commit.gpgsign=false", *args],
+                capture_output=True, text=True, timeout=30.0, check=True,
+            ).stdout
+
+        def reference():
+            try:
+                commit = git("rev-parse", "HEAD").strip()
+            except subprocess.CalledProcessError:
+                return None
+            return {"commit": commit,
+                    "dirty": bool(git("status", "--porcelain").strip())}
+
+        git("init", "-q")
+        assert _git_commit(tmp_path) is None  # unborn branch
+        assert reference() is None
+        (tmp_path / "tracked.txt").write_text("x\n")
+        git("add", "tracked.txt")
+        git("commit", "-qm", "first")
+        clean = _git_commit(tmp_path)
+        assert clean == reference()
+        assert clean["dirty"] is False and len(clean["commit"]) == 40
+        (tmp_path / "untracked.txt").write_text("y\n")
+        dirty = _git_commit(tmp_path)
+        assert dirty == reference()
+        assert dirty == {"commit": clean["commit"], "dirty": True}
 
     def test_corrupt_manifest_raises_key_error_on_missing(self, store):
         with pytest.raises(KeyError):
