@@ -13,7 +13,8 @@ see identical code and inputs:
 
 ``lp_scaling``
     Synthetic set-cover 0-1 ILPs of growing size solved cold by both
-    backends — the data that calibrates :class:`repro.ilp.solver.AutoTuning`.
+    backends — the data that calibrates the ``auto`` backend's thresholds,
+    :data:`repro.ilp.solver.AUTO_SCIPY_VARS` and ``AUTO_SCIPY_CONSTRS``.
 
 ``warm_lp``
     A single LP re-solve after tightening one variable bound: cold

@@ -76,11 +76,10 @@ from .report import (
     section,
 )
 from .synthesis import (
+    SYNTHESIS_ALGORITHMS,
     SynthesisSpec,
     pareto_front,
-    synthesize_ilp_ar,
-    synthesize_ilp_mr,
-    synthesize_ilp_tse,
+    synthesize,
 )
 
 __all__ = ["main", "build_parser"]
@@ -95,21 +94,15 @@ def _spec_for_domain(domain: str, target: Optional[float], size: int) -> Synthes
         raise SystemExit(str(exc))
 
 
-def _run_synthesis(spec: SynthesisSpec, algorithm: str, backend: str, gap: Optional[float]):
-    if algorithm == "mr":
-        return synthesize_ilp_mr(spec, backend=backend, mip_rel_gap=gap)
-    if algorithm == "mr-lazy":
-        return synthesize_ilp_mr(spec, strategy="lazy", backend=backend, mip_rel_gap=gap)
-    if algorithm == "ar":
-        return synthesize_ilp_ar(spec, backend=backend, mip_rel_gap=gap)
-    if algorithm == "tse":
-        return synthesize_ilp_tse(spec, backend=backend, mip_rel_gap=gap)
-    raise SystemExit(f"unknown algorithm {algorithm!r}")
+def _run_synthesis(args: argparse.Namespace):
+    spec = _spec_for_domain(args.domain, args.target, args.size)
+    result = synthesize(spec, args.algorithm, backend=args.backend,
+                        mip_rel_gap=args.gap)
+    return spec, result
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    spec = _spec_for_domain(args.domain, args.target, args.size)
-    result = _run_synthesis(spec, args.algorithm, args.backend, args.gap)
+    _, result = _run_synthesis(args)
     print(result.summary())
     if result.architecture is not None:
         print()
@@ -124,8 +117,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = _spec_for_domain(args.domain, args.target, args.size)
-    result = _run_synthesis(spec, args.algorithm, args.backend, args.gap)
+    spec, result = _run_synthesis(args)
     if not result.feasible:
         print(f"synthesis {result.status}")
         return 1
@@ -222,9 +214,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 def _run_tradeoff_batch(args: argparse.Namespace):
     spec = _spec_for_domain(args.domain, None, args.size)
-    algorithm = "ar" if args.algorithm in ("ar", "tse") else "mr"
     batch = requirement_sweep(
-        spec, args.levels, algorithm=algorithm, backend=args.backend,
+        spec, args.levels, algorithm=args.algorithm, backend=args.backend,
         mip_rel_gap=args.gap,
     )
     telemetry = _telemetry_path(args)
@@ -814,12 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log-level", default="info",
                        choices=["debug", "info", "warning", "error"],
                        help="minimum level for --log records")
-        p.add_argument("--log-max-bytes", type=int, default=0,
-                       metavar="BYTES",
-                       help="rotate the --log file when it would exceed "
-                       "BYTES (0 = never rotate)")
-        p.add_argument("--log-backups", type=int, default=3, metavar="N",
-                       help="rotated --log files to keep (default 3)")
         p.add_argument("--alerts", type=_alert_rules, default=None,
                        metavar="FILE",
                        help="alert rules (TOML) evaluated while --serve "
@@ -838,7 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
         obs_args(p)
         p.add_argument("--domain", default="eps",
                        choices=["eps", "power-grid", "comm-net"])
-        p.add_argument("--algorithm", default="mr", choices=["mr", "mr-lazy", "ar", "tse"])
+        p.add_argument("--algorithm", default="mr",
+                       choices=list(SYNTHESIS_ALGORITHMS))
         p.add_argument("--target", type=float, default=2e-10,
                        help="reliability requirement r* (failure probability)")
         p.add_argument("--backend", default="auto", choices=["auto", "bnb", "scipy"])
@@ -1011,12 +997,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--log-level", default="info",
                       choices=["debug", "info", "warning", "error"],
                       help="minimum level for --log records")
-    p_sv.add_argument("--log-max-bytes", type=int, default=0,
-                      metavar="BYTES",
-                      help="rotate the --log file when it would exceed "
-                      "BYTES (0 = never rotate)")
-    p_sv.add_argument("--log-backups", type=int, default=3, metavar="N",
-                      help="rotated --log files to keep (default 3)")
     p_sv.add_argument("--alerts", type=_alert_rules, default=None,
                       metavar="FILE",
                       help="alert rules (TOML) the service evaluates; "
@@ -1222,8 +1202,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "log", None):
         obs.configure_obslog(
             path=args.log, level=getattr(args, "log_level", "info"),
-            max_bytes=getattr(args, "log_max_bytes", 0),
-            backups=getattr(args, "log_backups", 3),
         )
     if getattr(args, "warehouse", None) and args.func is not cmd_obs:
         obs.configure_auto_ingest(args.warehouse)

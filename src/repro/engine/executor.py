@@ -101,22 +101,10 @@ _Completion = Tuple[Job, int, Dict[str, Any]]
 
 
 def _run_synthesize(job: Job) -> Any:
-    from ..synthesis.ilp_ar import synthesize_ilp_ar
-    from ..synthesis.ilp_mr import synthesize_ilp_mr
-    from ..synthesis.ilp_tse import synthesize_ilp_tse
+    from ..synthesis.algorithms import synthesize
 
-    spec = job.payload["spec"]
-    algorithm = job.payload["algorithm"]
-    options = dict(job.payload.get("options", {}))
-    if algorithm == "ar":
-        return synthesize_ilp_ar(spec, **options)
-    if algorithm == "mr":
-        return synthesize_ilp_mr(spec, **options)
-    if algorithm == "mr-lazy":
-        return synthesize_ilp_mr(spec, strategy="lazy", **options)
-    if algorithm == "tse":
-        return synthesize_ilp_tse(spec, **options)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    return synthesize(job.payload["spec"], job.payload["algorithm"],
+                      **dict(job.payload.get("options", {})))
 
 
 def _run_reliability(job: Job) -> Any:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..synthesis.algorithms import SYNTHESIS_ALGORITHMS
 from ..synthesis.pareto import TradeoffPoint
 from ..synthesis.spec import ForbidEdge, SynthesisSpec
 
@@ -39,10 +40,6 @@ __all__ = [
     "budget_bisection",
     "tradeoff_points",
 ]
-
-#: Algorithms a synthesis job accepts (mirrors the CLI's ``--algorithm``).
-SYNTHESIS_ALGORITHMS = ("ar", "mr", "mr-lazy", "tse")
-
 
 @dataclass
 class Job:

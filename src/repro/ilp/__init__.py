@@ -34,7 +34,7 @@ from .search_events import (
     set_search_sink,
 )
 from .simplex import LPBasis, LPResult, LPStatus, bland_cutover, solve_lp
-from .solver import AutoTuning, SolveResult, Status, solve
+from .solver import SolveResult, Status, solve
 
 __all__ = [
     "Model",
@@ -65,7 +65,6 @@ __all__ = [
     "BnBStats",
     "WarmStartContext",
     "extend_basis",
-    "AutoTuning",
     "bland_cutover",
     "SearchEventEmitter",
     "capture_search_events",

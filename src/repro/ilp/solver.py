@@ -9,7 +9,9 @@ Backends
     scipy's bundled HiGHS MILP (closest available stand-in for the paper's
     CPLEX).
 ``"auto"``
-    HiGHS when available and the model is large; otherwise branch-and-bound.
+    HiGHS when available and the model has more than
+    :data:`AUTO_SCIPY_VARS` variables or :data:`AUTO_SCIPY_CONSTRS`
+    constraints; otherwise branch-and-bound.
 """
 
 from __future__ import annotations
@@ -28,31 +30,17 @@ from .incremental import WarmStartContext
 from .model import Model
 from .scipy_backend import scipy_milp_available, solve_with_scipy
 
-__all__ = ["AutoTuning", "SolveResult", "Status", "solve"]
+__all__ = ["SolveResult", "Status", "solve"]
 
-
-@dataclass
-class AutoTuning:
-    """Dispatch thresholds for the ``"auto"`` backend.
-
-    ``auto`` routes to HiGHS when the model exceeds *either* threshold and
-    scipy is importable, otherwise to the from-scratch branch-and-bound.
-    Defaults were recalibrated from the ``BENCH_ilp.json`` scaling sweep
-    after the warm-start work: with basis inheritance the from-scratch
-    solver beats HiGHS up to roughly 80 binaries / 150 rows on the
-    set-cover-shaped models this project produces (it was cut over at 60
-    variables before), and falls behind quickly after. Override per call
-    with ``solve(..., tuning=...)``.
-    """
-
-    scipy_vars: int = 80
-    scipy_constrs: int = 200
-
-    def prefers_scipy(self, num_vars: int, num_constrs: int) -> bool:
-        return num_vars > self.scipy_vars or num_constrs > self.scipy_constrs
-
-
-_DEFAULT_TUNING = AutoTuning()
+#: Dispatch thresholds of the ``"auto"`` backend: HiGHS when the model
+#: exceeds *either* one and scipy is importable, else the from-scratch
+#: branch-and-bound. Calibrated from the ``BENCH_ilp.json`` scaling sweep
+#: after the warm-start work: with basis inheritance the from-scratch
+#: solver beats HiGHS up to roughly 80 binaries / 150 rows on the
+#: set-cover-shaped models this project produces, and falls behind
+#: quickly after.
+AUTO_SCIPY_VARS = 80
+AUTO_SCIPY_CONSTRS = 200
 
 
 class Status:
@@ -101,7 +89,6 @@ def solve(
     mip_rel_gap: Optional[float] = None,
     options: Optional[BnBOptions] = None,
     warm: Optional[WarmStartContext] = None,
-    tuning: Optional[AutoTuning] = None,
 ) -> SolveResult:
     """Solve ``model`` and return a :class:`SolveResult`.
 
@@ -133,8 +120,8 @@ def solve(
 
     chosen = backend
     if backend == "auto":
-        knobs = tuning or _DEFAULT_TUNING
-        big = knobs.prefers_scipy(form.num_vars, form.num_constrs)
+        big = (form.num_vars > AUTO_SCIPY_VARS
+               or form.num_constrs > AUTO_SCIPY_CONSTRS)
         chosen = "scipy" if big and scipy_milp_available() else "bnb"
 
     if chosen == "bnb":

@@ -132,17 +132,12 @@ class TelemetryWriter:
 
 
 class ObsLog:
-    """A JSONL log sink with level filtering and size-based rotation.
+    """A JSONL log sink with level filtering.
 
     ``path`` appends to a file (parent directories are created);
     ``stream`` writes to an open text stream instead. Exactly one of the
     two is used; ``path`` wins when both are given. Records go through a
     :class:`TelemetryWriter`.
-
-    A path sink with ``max_bytes > 0`` rotates before a record would push
-    the file past the cap: ``app.jsonl`` shifts to ``app.jsonl.1``,
-    ``.1`` to ``.2``, ... keeping ``backups`` old files. Rotation happens
-    on record boundaries, so every rotated file stays valid JSONL.
     """
 
     def __init__(
@@ -150,51 +145,20 @@ class ObsLog:
         path: Optional[Union[str, Path]] = None,
         stream: Optional[TextIO] = None,
         level: str = "info",
-        max_bytes: int = 0,
-        backups: int = 3,
     ) -> None:
         if level not in _LEVELS:
             raise ValueError(
                 f"unknown log level {level!r}; choose from {sorted(_LEVELS)}"
             )
-        if backups < 1:
-            raise ValueError(f"backups must be >= 1, got {backups!r}")
         self.level = level
         self.path = Path(path) if path is not None else None
-        self.max_bytes = int(max_bytes) if self.path is not None else 0
-        self.backups = int(backups)
         self._writer = TelemetryWriter(
             self.path if self.path is not None else stream
         )
-        self._size = 0
-        if self.max_bytes > 0:
-            try:
-                self._size = self.path.stat().st_size
-            except OSError:
-                pass
 
     @property
     def enabled(self) -> bool:
         return self._writer.enabled
-
-    def _rotate(self) -> None:
-        """Shift ``path -> path.1 -> path.2 ...`` and reopen fresh."""
-        assert self.path is not None
-        self._writer.close()
-        try:
-            for i in range(self.backups, 0, -1):
-                src = (
-                    self.path
-                    if i == 1
-                    else self.path.with_name(f"{self.path.name}.{i - 1}")
-                )
-                dst = self.path.with_name(f"{self.path.name}.{i}")
-                if src.exists():
-                    src.replace(dst)
-        except OSError:
-            return  # the closed writer leaves the sink a no-op
-        self._writer = TelemetryWriter(self.path)
-        self._size = 0
 
     def emit(self, level: str, event: str, fields: Dict[str, Any]) -> None:
         if not self._writer.enabled:
@@ -209,11 +173,6 @@ class ObsLog:
             record.setdefault("span", span.span_id)
             record.setdefault("span_name", span.name)
         record.update(fields)
-        if self.max_bytes > 0:
-            payload = len(_encode(record).encode("utf-8"))
-            if self._size > 0 and self._size + payload > self.max_bytes:
-                self._rotate()
-            self._size += payload
         self._writer.write(record)
 
     def close(self) -> None:
@@ -234,23 +193,18 @@ def configure_obslog(
     path: Optional[Union[str, Path]] = None,
     stream: Optional[TextIO] = None,
     level: str = "info",
-    max_bytes: int = 0,
-    backups: int = 3,
 ) -> Optional[ObsLog]:
     """Install a log sink (or uninstall with no arguments).
 
-    ``max_bytes``/``backups`` enable size-based rotation for path sinks
-    (``max_bytes=0``, the default, keeps the historical append-forever
-    behavior). Returns the newly installed :class:`ObsLog`, or ``None``
-    after an uninstall. The previous sink, if any, is closed.
+    Returns the newly installed :class:`ObsLog`, or ``None`` after an
+    uninstall. The previous sink, if any, is closed.
     """
     global _SINK
     previous, _SINK = _SINK, None
     if previous is not None:
         previous.close()
     if path is not None or stream is not None:
-        _SINK = ObsLog(path=path, stream=stream, level=level,
-                       max_bytes=max_bytes, backups=backups)
+        _SINK = ObsLog(path=path, stream=stream, level=level)
     return _SINK
 
 

@@ -4,32 +4,38 @@ The engine and service plane emit rich JSONL exhaust (batch telemetry,
 span records, worker metric deltas, B&B search-tree events, structured
 obslog lines), all written by :class:`repro.obs.TelemetryWriter`, but
 answering "which job was slow last Tuesday" has meant hand-grepping
-journals. The warehouse ingests any of those files into indexed SQLite
-tables so operators get SQL over the full fleet history:
+journals. The warehouse ingests any of those files into one SQLite file
+so operators get SQL over the full fleet history:
 
     wh = TelemetryWarehouse(".archex/warehouse.db")
     wh.ingest_file(".relcache/telemetry.jsonl")
     wh.query("SELECT job, wall_time FROM jobs ORDER BY wall_time DESC")
 
-Tables (all times epoch seconds):
+Each ingested record is stored once, as a row of the ``records`` table:
+``ts`` (epoch seconds), ``batch``, ``event``, ``level``, the ``source``
+file name, and ``body``, the rest of the record as compact JSON, with
+non-finite floats stored as ``null`` so that SQLite's JSON functions read
+every body (``json_extract(body, '$.field')`` reaches any field without a
+schema change). ``sources`` keeps each ingested file's byte offset, so
+re-ingesting resumes where the last pass stopped (a rotated or truncated
+file restarts from zero). The query tables are views over ``records``:
 
-* ``sources``       — ingested files and their byte offsets; re-ingesting
-  a file resumes where the last pass stopped, so ingest is incremental
-  and idempotent (a rotated/truncated file restarts from zero).
 * ``batches``       — one row per batch id (``batch_start``/``batch_end``
   roll-up: jobs, ok/failed, wall time, cache traffic).
 * ``jobs``          — one row per (batch, job): outcome, attempts, wall
   time, cache hits/misses, retry/timeout counts.
 * ``spans``         — one row per finished span (a ``span`` record).
-* ``metric_deltas`` — one row per instrument per ``metrics_snapshot``
-  event (per-worker registry deltas).
+* ``metric_deltas`` — one row per instrument per ``metrics_snapshot``.
 * ``bnb_events``    — the branch-and-bound search-tree stream.
 * ``logs``          — structured obslog records.
 
-Every file is ingested the same way: a record with a ``level`` is a log
-line (whatever correlation fields, such as ``batch``, it carries); every
-other record is dispatched on its ``event``, and events with no table
-(``job_dedup``, ``pool_restart``, ...) are skipped.
+A record with a ``level`` is a log line (whatever correlation fields,
+such as ``batch``, it carries) and appears only in ``logs``; any other
+record appears in the view its ``event`` names, if there is one
+(``job_dedup``, ``pool_restart``, ... stay in ``records`` only), and
+life-cycle records without a batch id in none. A file in the earlier
+layout (a ``jobs`` table rather than a view) is refused at open: move it
+aside and re-ingest the JSONL files it was built from.
 
 Auto-ingest: :func:`configure_auto_ingest` (what ``--warehouse`` on
 every engine command and on ``repro serve`` calls) arms a process-global
@@ -44,6 +50,7 @@ contract as :class:`repro.engine.TelemetryWriter`).
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -67,100 +74,141 @@ DEFAULT_WAREHOUSE_PATH = Path(".archex") / "warehouse.db"
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sources (
     path        TEXT PRIMARY KEY,
-    kind        TEXT NOT NULL,
     offset      INTEGER NOT NULL DEFAULT 0,
     ingested_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS batches (
-    batch        TEXT PRIMARY KEY,
-    name         TEXT,
-    started_at   REAL,
-    finished_at  REAL,
-    jobs         INTEGER,
-    workers      INTEGER,
-    ok           INTEGER,
-    failed       INTEGER,
-    wall_time    REAL,
-    cache_hits   INTEGER,
-    cache_misses INTEGER,
-    stopped      INTEGER
-);
-CREATE TABLE IF NOT EXISTS jobs (
-    batch        TEXT NOT NULL,
-    job          TEXT NOT NULL,
-    kind         TEXT,
-    started_at   REAL,
-    finished_at  REAL,
-    ok           INTEGER,
-    attempts     INTEGER,
-    wall_time    REAL,
-    cache_hits   INTEGER,
-    cache_misses INTEGER,
-    error        TEXT,
-    retries      INTEGER NOT NULL DEFAULT 0,
-    timeouts     INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (batch, job)
-);
-CREATE TABLE IF NOT EXISTS spans (
+CREATE TABLE IF NOT EXISTS records (
+    ts     REAL,
     batch  TEXT,
-    uid    TEXT,
-    parent TEXT,
-    name   TEXT NOT NULL,
-    pid    INTEGER,
-    ts     REAL NOT NULL,
-    dur    REAL,
-    attrs  TEXT
+    event  TEXT,
+    level  TEXT,
+    source TEXT,
+    body   TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_spans_batch ON spans (batch);
-CREATE INDEX IF NOT EXISTS idx_spans_name ON spans (name);
-CREATE TABLE IF NOT EXISTS metric_deltas (
-    batch   TEXT,
-    worker  INTEGER,
-    ts      REAL NOT NULL,
-    metric  TEXT NOT NULL,
-    kind    TEXT,
-    value   REAL,
-    count   INTEGER,
-    payload TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_metric_deltas_metric
-    ON metric_deltas (metric);
-CREATE INDEX IF NOT EXISTS idx_metric_deltas_batch
-    ON metric_deltas (batch);
-CREATE TABLE IF NOT EXISTS bnb_events (
-    batch     TEXT,
-    ts        REAL,
-    solve     TEXT,
-    kind      TEXT,
-    node      INTEGER,
-    depth     INTEGER,
-    objective REAL,
-    reason    TEXT,
-    payload   TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_bnb_events_solve ON bnb_events (solve);
-CREATE TABLE IF NOT EXISTS logs (
-    ts      REAL NOT NULL,
-    level   TEXT,
-    event   TEXT,
-    run     TEXT,
-    job     TEXT,
-    source  TEXT,
-    payload TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_logs_event ON logs (event);
+CREATE INDEX IF NOT EXISTS idx_records_event ON records (event);
+CREATE INDEX IF NOT EXISTS idx_records_batch ON records (batch);
+CREATE VIEW IF NOT EXISTS batches AS SELECT batch,
+    COALESCE(json_extract(s, '$.name'), json_extract(e, '$.name')) AS name,
+    started_at, finished_at,
+    json_extract(s, '$.jobs') AS jobs, json_extract(s, '$.workers') AS workers,
+    json_extract(e, '$.ok') AS ok, json_extract(e, '$.failed') AS failed,
+    CAST(json_extract(e, '$.wall_time') AS REAL) AS wall_time,
+    json_extract(e, '$.cache_hits') AS cache_hits,
+    json_extract(e, '$.cache_misses') AS cache_misses,
+    CASE WHEN e IS NOT NULL THEN json_extract(e, '$.stopped') IS TRUE END
+        AS stopped
+FROM (SELECT batch,
+    MAX(CASE WHEN event = 'batch_start' THEN body END) AS s,
+    MAX(CASE WHEN event = 'batch_start' THEN ts END) AS started_at,
+    MAX(CASE WHEN event = 'batch_end' THEN body END) AS e,
+    MAX(CASE WHEN event = 'batch_end' THEN ts END) AS finished_at
+  FROM records WHERE event IN ('batch_start', 'batch_end')
+      AND level IS NULL AND batch IS NOT NULL
+  GROUP BY batch);
+CREATE VIEW IF NOT EXISTS jobs AS SELECT batch, job,
+    json_extract(s, '$.kind') AS kind, started_at, finished_at,
+    CASE WHEN e IS NOT NULL THEN json_extract(e, '$.ok') IS TRUE END AS ok,
+    json_extract(e, '$.attempts') AS attempts,
+    CAST(json_extract(e, '$.wall_time') AS REAL) AS wall_time,
+    json_extract(e, '$.cache_hits') AS cache_hits,
+    json_extract(e, '$.cache_misses') AS cache_misses,
+    json_extract(e, '$.error') AS error, retries, timeouts
+FROM (SELECT batch, CAST(json_extract(body, '$.job') AS TEXT) AS job,
+    MAX(CASE WHEN event = 'job_start' THEN body END) AS s,
+    MAX(CASE WHEN event = 'job_start' THEN ts END) AS started_at,
+    MAX(CASE WHEN event = 'job_end' THEN body END) AS e,
+    MAX(CASE WHEN event = 'job_end' THEN ts END) AS finished_at,
+    SUM(event = 'job_retry') AS retries, SUM(event = 'job_timeout') AS timeouts
+  FROM records
+  WHERE event IN ('job_start', 'job_end', 'job_retry', 'job_timeout')
+      AND level IS NULL AND batch IS NOT NULL
+  GROUP BY 1, 2);
+CREATE VIEW IF NOT EXISTS spans AS SELECT batch,
+    json_extract(body, '$.uid') AS uid,
+    json_extract(body, '$.parent') AS parent,
+    COALESCE(json_extract(body, '$.name'), '?') AS name,
+    json_extract(body, '$.pid') AS pid, ts,
+    CAST(json_extract(body, '$.dur') AS REAL) AS dur,
+    NULLIF(json_extract(body, '$.attrs'), '{}') AS attrs
+FROM records WHERE event = 'span' AND level IS NULL;
+CREATE VIEW IF NOT EXISTS metric_deltas AS SELECT r.batch AS batch,
+    json_extract(r.body, '$.worker_pid') AS worker, r.ts AS ts,
+    m.key AS metric, json_extract(m.value, '$.kind') AS kind,
+    CAST(json_extract(m.value, CASE json_extract(m.value, '$.kind')
+         WHEN 'histogram' THEN '$.sum' ELSE '$.value' END) AS REAL) AS value,
+    json_extract(m.value, '$.count') AS count, m.value AS payload
+FROM records AS r, json_each(r.body, '$.metrics') AS m
+WHERE r.event = 'metrics_snapshot' AND r.level IS NULL
+    AND json_type(r.body, '$.metrics') = 'object' AND m.type = 'object';
+CREATE VIEW IF NOT EXISTS bnb_events AS SELECT batch, ts,
+    CAST(json_extract(body, '$.solve') AS TEXT) AS solve,
+    json_extract(body, '$.kind') AS kind, json_extract(body, '$.node') AS node,
+    json_extract(body, '$.depth') AS depth,
+    CAST(json_extract(body, '$.objective') AS REAL) AS objective,
+    json_extract(body, '$.reason') AS reason, NULLIF(body, '{}') AS payload
+FROM records WHERE event = 'bnb_event' AND level IS NULL;
+CREATE VIEW IF NOT EXISTS logs AS SELECT ts, level, event,
+    json_extract(body, '$.run') AS run, json_extract(body, '$.job') AS job,
+    source, NULLIF(CASE WHEN batch IS NULL THEN body
+                        ELSE json_set(body, '$.batch', batch) END, '{}')
+        AS payload
+FROM records WHERE level IS NOT NULL;
 """
 
 #: First SQL keywords allowed through :meth:`TelemetryWarehouse.query`.
 _READ_ONLY_PREFIXES = ("select", "with", "explain", "pragma")
 
-#: Life-cycle events whose rows are keyed by their batch id.
-_BATCH_KEYED = ("batch_start", "batch_end", "job_start", "job_end",
-                "job_retry", "job_timeout")
+#: Compact JSON for ``body`` (one encoder: ``json.dumps`` with options
+#: builds a new one per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+#: Life-cycle events, which appear in a view only with a batch id.
+_LIFECYCLE = ("batch_start", "batch_end", "job_start", "job_end",
+              "job_retry", "job_timeout")
+
+#: The view a record of each event adds a row to (the ingest counts): a
+#: batch counts once, at its ``batch_start``, and a job at its
+#: ``job_end``; a ``metrics_snapshot`` adds one row per instrument.
+_ADDS_ROW = {"batch_start": "batches", "job_end": "jobs", "span": "spans",
+             "metrics_snapshot": "metric_deltas", "bnb_event": "bnb_events"}
+
+#: Views with a ``batch`` column (retention and per-batch counts).
+_BATCH_VIEWS = ("batches", "jobs", "spans", "metric_deltas", "bnb_events")
 
 
-def _num(value: Any) -> Optional[float]:
-    return float(value) if isinstance(value, (int, float)) else None
+def _finite(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _body(rest: Dict[str, Any]) -> str:
+    """``rest`` as JSON that SQLite's JSON functions can read."""
+    text = _ENCODER.encode(rest)
+    if "Infinity" in text or "NaN" in text:  # Python's non-JSON floats
+        text = _ENCODER.encode(_finite(rest))
+    return text
+
+
+def _rows_added(record: Dict[str, Any]) -> Tuple[Optional[str], int]:
+    """(view, rows) that ``record`` adds to the per-table ingest counts."""
+    if record.get("level") is not None:
+        return "logs", 1
+    event = record.get("event")
+    if event in _LIFECYCLE and record.get("batch") is None:
+        return None, 0  # a hand-made file: no batch, no row to key
+    if event == "metrics_snapshot":
+        metrics = record.get("metrics")
+        if not isinstance(metrics, dict):
+            return None, 0
+        return "metric_deltas", sum(isinstance(m, dict)
+                                    for m in metrics.values())
+    return _ADDS_ROW.get(event), 1
 
 
 class TelemetryWarehouse:
@@ -172,6 +220,15 @@ class TelemetryWarehouse:
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
+        layout = self._conn.execute(
+            "SELECT type FROM sqlite_master WHERE name = 'jobs'").fetchone()
+        if layout is not None and layout[0] == "table":
+            self._conn.close()
+            raise ValueError(
+                f"{self.path} is a telemetry warehouse in an earlier layout"
+                " (a jobs table); move it aside and re-ingest its JSONL"
+                " sources into a new file"
+            )
         try:
             self._conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.OperationalError:
@@ -204,19 +261,14 @@ class TelemetryWarehouse:
                 return {}
             if size < offset:
                 offset = 0  # rotated or truncated underneath us
-            counts: Dict[str, int] = {}
             records, end = read_jsonl(source, offset)
             if end == offset:
-                return counts
+                return {}
             with self._conn:
                 counts = self._ingest(records, source.name)
                 self._conn.execute(
-                    "INSERT INTO sources (path, kind, offset, ingested_at)"
-                    " VALUES (?, ?, ?, ?)"
-                    " ON CONFLICT(path) DO UPDATE SET"
-                    " offset = excluded.offset,"
-                    " ingested_at = excluded.ingested_at",
-                    (key, "jsonl", end, time.time()),
+                    "INSERT OR REPLACE INTO sources VALUES (?, ?, ?)",
+                    (key, end, time.time()),
                 )
             return counts
 
@@ -233,158 +285,23 @@ class TelemetryWarehouse:
         self, records: Iterable[Dict[str, Any]], source: str
     ) -> Dict[str, int]:
         counts: Dict[str, int] = {}
+        rows = []
         for record in records:
-            hit = (self._ingest_log(record, source) if "level" in record
-                   else self._ingest_event(record))
-            if hit is not None:
-                table, n = hit if isinstance(hit, tuple) else (hit, 1)
-                counts[table] = counts.get(table, 0) + n
-        return counts
-
-    def _ingest_log(self, record: Dict[str, Any], source: str) -> str:
-        core = {"ts", "level", "event", "run", "job"}
-        payload = {k: v for k, v in record.items() if k not in core}
-        self._conn.execute(
-            "INSERT INTO logs (ts, level, event, run, job, source, payload)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                _num(record.get("ts")) or 0.0,
-                record.get("level"),
-                record.get("event"),
-                record.get("run"),
-                record.get("job"),
-                source,
-                json.dumps(payload, sort_keys=True, default=str)
-                if payload else None,
-            ),
+            view, n = _rows_added(record)
+            if view is not None and n:
+                counts[view] = counts.get(view, 0) + n
+            rest = dict(record)
+            ts = rest.pop("ts", None)
+            rows.append((
+                float(ts) if isinstance(ts, (int, float)) else 0.0,
+                rest.pop("batch", None), rest.pop("event", None),
+                rest.pop("level", None), source, _body(rest),
+            ))
+        self._conn.executemany(
+            "INSERT INTO records (ts, batch, event, level, source, body)"
+            " VALUES (?, ?, ?, ?, ?, ?)", rows,
         )
-        return "logs"
-
-    def _ingest_event(
-        self, record: Dict[str, Any]
-    ) -> Union[str, Tuple[str, int], None]:
-        event = record.get("event")
-        batch = record.get("batch")
-        if batch is None and event in _BATCH_KEYED:
-            return None  # a hand-made file: no batch, no row to key
-        ts = _num(record.get("ts")) or 0.0
-        conn = self._conn
-        if event == "batch_start":
-            conn.execute(
-                "INSERT INTO batches (batch, name, started_at, jobs, workers)"
-                " VALUES (?, ?, ?, ?, ?)"
-                " ON CONFLICT(batch) DO UPDATE SET"
-                " name = excluded.name, started_at = excluded.started_at,"
-                " jobs = excluded.jobs, workers = excluded.workers",
-                (batch, record.get("name"), ts, record.get("jobs"),
-                 record.get("workers")),
-            )
-            return "batches"
-        if event == "batch_end":
-            conn.execute(
-                "INSERT INTO batches (batch, name, finished_at, ok, failed,"
-                " wall_time, cache_hits, cache_misses, stopped)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(batch) DO UPDATE SET"
-                " finished_at = excluded.finished_at, ok = excluded.ok,"
-                " failed = excluded.failed, wall_time = excluded.wall_time,"
-                " cache_hits = excluded.cache_hits,"
-                " cache_misses = excluded.cache_misses,"
-                " stopped = excluded.stopped",
-                (batch, record.get("name"), ts, record.get("ok"),
-                 record.get("failed"), _num(record.get("wall_time")),
-                 record.get("cache_hits"), record.get("cache_misses"),
-                 1 if record.get("stopped") else 0),
-            )
-            return None  # a batch counts once, at its batch_start
-        if event == "job_start":
-            conn.execute(
-                "INSERT INTO jobs (batch, job, kind, started_at)"
-                " VALUES (?, ?, ?, ?)"
-                " ON CONFLICT(batch, job) DO UPDATE SET"
-                " kind = excluded.kind, started_at = excluded.started_at",
-                (batch, str(record.get("job")), record.get("kind"), ts),
-            )
-            return None  # a job counts once, at its job_end
-        if event == "job_end":
-            conn.execute(
-                "INSERT INTO jobs (batch, job, finished_at, ok, attempts,"
-                " wall_time, cache_hits, cache_misses, error)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(batch, job) DO UPDATE SET"
-                " finished_at = excluded.finished_at, ok = excluded.ok,"
-                " attempts = excluded.attempts,"
-                " wall_time = excluded.wall_time,"
-                " cache_hits = excluded.cache_hits,"
-                " cache_misses = excluded.cache_misses,"
-                " error = excluded.error",
-                (batch, str(record.get("job")),
-                 ts, 1 if record.get("ok") else 0, record.get("attempts"),
-                 _num(record.get("wall_time")), record.get("cache_hits"),
-                 record.get("cache_misses"), record.get("error")),
-            )
-            return "jobs"
-        if event in ("job_retry", "job_timeout"):
-            column = "retries" if event == "job_retry" else "timeouts"
-            conn.execute(
-                f"INSERT INTO jobs (batch, job, {column}) VALUES (?, ?, 1)"
-                f" ON CONFLICT(batch, job) DO UPDATE SET"
-                f" {column} = {column} + 1",
-                (batch, str(record.get("job"))),
-            )
-            return None
-        if event == "span":
-            conn.execute(
-                "INSERT INTO spans (batch, uid, parent, name, pid, ts, dur,"
-                " attrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (batch, record.get("uid"), record.get("parent"),
-                 record.get("name", "?"), record.get("pid"), ts,
-                 _num(record.get("dur")),
-                 json.dumps(record.get("attrs"), sort_keys=True, default=str)
-                 if record.get("attrs") else None),
-            )
-            return "spans"
-        if event == "metrics_snapshot":
-            metrics = record.get("metrics")
-            if not isinstance(metrics, dict):
-                return None
-            worker = record.get("worker_pid")
-            rows = []
-            for name, data in sorted(metrics.items()):
-                if not isinstance(data, dict):
-                    continue
-                mkind = data.get("kind")
-                value = _num(
-                    data.get("sum") if mkind == "histogram"
-                    else data.get("value")
-                )
-                rows.append((
-                    batch, worker, ts, name, mkind, value, data.get("count"),
-                    json.dumps(data, sort_keys=True, default=str),
-                ))
-            conn.executemany(
-                "INSERT INTO metric_deltas (batch, worker, ts, metric, kind,"
-                " value, count, payload) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-            return ("metric_deltas", len(rows)) if rows else None
-        if event == "bnb_event":
-            core = {"ts", "batch", "event", "solve", "kind", "node", "depth",
-                    "objective", "reason"}
-            payload = {k: v for k, v in record.items() if k not in core}
-            conn.execute(
-                "INSERT INTO bnb_events (batch, ts, solve, kind, node, depth,"
-                " objective, reason, payload)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (batch, ts, str(record.get("solve")), record.get("kind"),
-                 record.get("node"), record.get("depth"),
-                 _num(record.get("objective")), record.get("reason"),
-                 json.dumps(payload, sort_keys=True, default=str)
-                 if payload else None),
-            )
-            return "bnb_events"
-        # job_dedup, pool_restart, ... carry no warehouse row.
-        return None
+        return counts
 
     # ------------------------------------------------------------------
     # query
@@ -405,22 +322,14 @@ class TelemetryWarehouse:
 
     def counts(self, batch: Optional[str] = None) -> Dict[str, int]:
         """Row counts per table (optionally scoped to one batch id)."""
-        out: Dict[str, int] = {}
-        scoped = ("batches", "jobs", "spans", "metric_deltas", "bnb_events")
+        if batch is None:
+            tables, where, params = _BATCH_VIEWS + ("logs",), "", ()
+        else:
+            tables, where, params = _BATCH_VIEWS, " WHERE batch = ?", (batch,)
         with self._lock:
-            for table in scoped:
-                if batch is not None:
-                    cur = self._conn.execute(
-                        f"SELECT COUNT(*) FROM {table} WHERE batch = ?",
-                        (batch,),
-                    )
-                else:
-                    cur = self._conn.execute(f"SELECT COUNT(*) FROM {table}")
-                out[table] = int(cur.fetchone()[0])
-            if batch is None:
-                cur = self._conn.execute("SELECT COUNT(*) FROM logs")
-                out["logs"] = int(cur.fetchone()[0])
-        return out
+            return {table: self._conn.execute(
+                f"SELECT COUNT(*) FROM {table}{where}", params
+            ).fetchone()[0] for table in tables}
 
     def batches(self, limit: int = 50) -> List[Dict[str, Any]]:
         """Most recent batches, newest first."""
@@ -441,70 +350,57 @@ class TelemetryWarehouse:
     ) -> Dict[str, int]:
         """Apply retention and compact the database file.
 
-        ``max_age`` drops batches (and their rows in every child table)
+        ``max_age`` drops batches (every record of theirs but log lines)
         whose newest timestamp is older than ``now - max_age`` seconds,
-        plus the rows without a batch that are older than the cutoff:
-        logs, and the spans, metric deltas and B&B events of a raw worker
-        spool. ``keep_batches`` keeps only the N most recent batches; it
-        never touches rows without a batch. Returns deleted-row counts
-        per table.
+        plus the records without a batch and the log lines that are older
+        than the cutoff: logs, and the spans, metric deltas and B&B
+        events of a raw worker spool. ``keep_batches`` keeps only the N
+        most recent batches; it never touches records without a batch.
+        Returns deleted-row counts per table.
         """
-        deleted: Dict[str, int] = {}
         doomed: List[str] = []
-        now = time.time()
+        cutoff = time.time() - max_age if max_age is not None else None
         with self._lock:
-            if max_age is not None:
-                cutoff = now - max_age
-                doomed.extend(
-                    row["batch"] for row in self._conn.execute(
-                        "SELECT batch FROM batches"
-                        " WHERE COALESCE(finished_at, started_at, 0) < ?",
+            if cutoff is not None:
+                doomed.extend(row["batch"] for row in self._conn.execute(
+                    "SELECT batch FROM batches"
+                    " WHERE COALESCE(finished_at, started_at, 0) < ?",
+                    (cutoff,),
+                ))
+            if keep_batches is not None:
+                doomed.extend(row["batch"] for row in self._conn.execute(
+                    "SELECT batch FROM batches WHERE batch NOT IN ("
+                    " SELECT batch FROM batches"
+                    " ORDER BY COALESCE(started_at, finished_at, 0) DESC,"
+                    " batch DESC LIMIT ?)",
+                    (keep_batches,),
+                ))
+            in_doomed = "batch IN (SELECT value FROM json_each(?))"
+            targets = (json.dumps(sorted(set(doomed))),)
+            scopes = [(table, in_doomed, targets) for table in _BATCH_VIEWS]
+            if cutoff is not None:
+                # Records without a batch age out on their own timestamp.
+                scopes += [(table, "batch IS NULL AND ts < ?", (cutoff,))
+                           for table in _BATCH_VIEWS[2:]]
+                scopes.append(("logs", "ts < ?", (cutoff,)))
+            deleted: Dict[str, int] = {}
+            for table, where, params in scopes:
+                n = self._conn.execute(
+                    f"SELECT COUNT(*) FROM {table} WHERE {where}", params
+                ).fetchone()[0]
+                if n:
+                    deleted[table] = deleted.get(table, 0) + n
+            with self._conn:
+                self._conn.execute(
+                    f"DELETE FROM records WHERE level IS NULL AND {in_doomed}",
+                    targets,
+                )
+                if cutoff is not None:
+                    self._conn.execute(
+                        "DELETE FROM records WHERE ts < ?"
+                        " AND (batch IS NULL OR level IS NOT NULL)",
                         (cutoff,),
                     )
-                )
-            if keep_batches is not None:
-                keepers = {
-                    row["batch"] for row in self._conn.execute(
-                        "SELECT batch FROM batches"
-                        " ORDER BY COALESCE(started_at, finished_at, 0) DESC,"
-                        " batch DESC LIMIT ?",
-                        (keep_batches,),
-                    )
-                }
-                doomed.extend(
-                    row["batch"] for row in self._conn.execute(
-                        "SELECT batch FROM batches"
-                    ) if row["batch"] not in keepers
-                )
-            targets = sorted(set(doomed))
-            with self._conn:
-                for table in ("jobs", "spans", "metric_deltas", "bnb_events",
-                              "batches"):
-                    total = 0
-                    for i in range(0, len(targets), 500):
-                        chunk = targets[i:i + 500]
-                        marks = ",".join("?" * len(chunk))
-                        cur = self._conn.execute(
-                            f"DELETE FROM {table} WHERE batch IN ({marks})",
-                            chunk,
-                        )
-                        total += cur.rowcount
-                    if total:
-                        deleted[table] = total
-                if max_age is not None:
-                    # Rows without a batch age out on their own timestamp.
-                    orphans = "batch IS NULL AND ts < ?"
-                    for table, where in (("spans", orphans),
-                                         ("metric_deltas", orphans),
-                                         ("bnb_events", orphans),
-                                         ("logs", "ts < ?")):
-                        cur = self._conn.execute(
-                            f"DELETE FROM {table} WHERE {where}", (cutoff,)
-                        )
-                        if cur.rowcount:
-                            deleted[table] = (
-                                deleted.get(table, 0) + cur.rowcount
-                            )
             self._conn.execute("VACUUM")
         return deleted
 

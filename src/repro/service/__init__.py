@@ -4,7 +4,7 @@ The service plane (ROADMAP item 1) that turns one-shot CLI invocations
 into durable, queryable, resumable *runs*:
 
 * :mod:`repro.service.specs` — JSON-schema-validated job specs
-  (``synthesize`` / ``sweep`` / ``verify`` / ``bench``), normalized and
+  (``synthesize`` / ``sweep`` / ``verify``), normalized and
   content-addressed, with batch builders shared with the CLI;
 * :mod:`repro.service.store` — the durable run store under
   ``.archex/runs/<run-id>/``: state-machine manifests

@@ -294,35 +294,6 @@ def _seal(store: RunStore, record: RunRecord, state: str,
     return record
 
 
-def _execute_bench(store: RunStore, record: RunRecord,
-                   params: Dict[str, Any]) -> str:
-    from ..bench import run_bench
-
-    doc = run_bench(
-        profile=params["profile"],
-        out=str(record.path / "BENCH_ilp.json"),
-        backends=params["backends"],
-        log=lambda *a, **k: None,
-    )
-    entries = [{
-        "job_id": f"{row['kind']}/{row['instance']}/{row['backend']}",
-        "ok": True,
-        "meta": {"kind": row["kind"], "backend": row["backend"]},
-        "value": {
-            "speedup": row.get("speedup"),
-            "costs_identical": row.get("costs_identical"),
-        },
-    } for row in doc.get("rows", [])]
-    batch = BatchSpec(name=f"bench-{params['profile']}")
-    _write_result(store, record, batch, entries,
-                  stats={"summary": doc.get("summary", {})})
-    _write_report(record, [f"bench profile {params['profile']!r}: "
-                           f"{len(entries)} rows"])
-    store.set_progress(record, done=len(entries), failed=0,
-                       total=len(entries))
-    return DONE
-
-
 def execute_run(
     store: RunStore,
     record: RunRecord,
@@ -389,9 +360,6 @@ def execute_run(
     status = FAILED
     error: Optional[str] = None
     try:
-        if record.kind == "bench":
-            status = _execute_bench(store, record, spec.get("params", {}))
-            return record
         batch = build_batch(spec)
         replayable = _load_replayable(store, record)
         remaining = [j for j in batch.jobs if j.job_id not in replayable]
@@ -473,11 +441,10 @@ def execute_run(
         return record
     finally:
         obs.set_trace_context(prev_ctx)
-        if record.kind != "bench":
-            try:
-                _write_observability(record, trace_ctx)
-            except Exception:  # noqa: BLE001 - sidecars must never block sealing
-                pass
+        try:
+            _write_observability(record, trace_ctx)
+        except Exception:  # noqa: BLE001 - sidecars must never block sealing
+            pass
         _release_tracer()
         beat_stop.set()
         beat.join(timeout=1.0)

@@ -2,11 +2,11 @@
 
 A *job spec* is the JSON document a client POSTs to ``/api/jobs`` (or the
 CLI submits on its behalf): a ``kind`` — one of ``synthesize``, ``sweep``,
-``verify``, ``bench`` — plus kind-specific ``params`` mirroring the CLI
-flags of the same commands. Specs are validated against JSON-Schema
-documents (:data:`SPEC_SCHEMA`, :data:`PARAM_SCHEMAS`) by a small
-stdlib-only validator supporting the subset the schemas use, then
-*normalized*: defaults filled in, keys ordered, and the result digested
+``verify`` — plus kind-specific ``params`` mirroring the CLI flags of the
+same commands. Specs are validated against JSON-Schema documents
+(:data:`SPEC_SCHEMA`, :data:`PARAM_SCHEMAS`) by a small stdlib-only
+validator supporting the subset the schemas use, then *normalized*:
+defaults filled in, keys ordered, and the result digested
 (:func:`spec_digest`) so two submissions of the same work share a content
 address.
 
@@ -22,6 +22,8 @@ import hashlib
 import json
 from typing import Any, Callable, Dict, List, Optional
 
+from ..synthesis.algorithms import SYNTHESIS_ALGORITHMS
+
 __all__ = [
     "JOB_KINDS",
     "SPEC_SCHEMA",
@@ -36,14 +38,14 @@ __all__ = [
 ]
 
 #: Job kinds the service executes.
-JOB_KINDS = ("synthesize", "sweep", "verify", "bench")
+JOB_KINDS = ("synthesize", "sweep", "verify")
 
 #: Hard cap on worker processes one job may request.
 MAX_BATCH_JOBS = 64
 
 _DOMAIN = {"type": "string", "enum": ["eps", "power-grid", "comm-net"],
            "default": "eps"}
-_ALGORITHM = {"type": "string", "enum": ["ar", "mr", "mr-lazy", "tse"],
+_ALGORITHM = {"type": "string", "enum": list(SYNTHESIS_ALGORITHMS),
               "default": "mr"}
 _BACKEND = {"type": "string", "enum": ["auto", "bnb", "scipy"],
             "default": "auto"}
@@ -113,18 +115,6 @@ PARAM_SCHEMAS: Dict[str, Dict[str, Any]] = {
             "tol": {"type": "number", "exclusiveMinimum": 0, "default": 1e-9},
             "mc_samples": {"type": "integer", "minimum": 0, "default": 2000},
             "include_eps": {"type": "boolean", "default": True},
-        },
-    },
-    "bench": {
-        "type": "object",
-        "additionalProperties": False,
-        "properties": {
-            "profile": {"type": "string", "enum": ["smoke", "full"],
-                        "default": "smoke"},
-            "backends": {"type": "array", "minItems": 1, "maxItems": 8,
-                         "items": {"type": "string",
-                                   "enum": ["bnb", "scipy"]},
-                         "default": ["bnb", "scipy"]},
         },
     },
 }
@@ -343,11 +333,7 @@ def register_batch_builder(
 
 
 def build_batch(spec: Dict[str, Any], builders: Optional[Dict] = None):
-    """Normalized spec -> the :class:`repro.engine.BatchSpec` it describes.
-
-    ``bench`` specs have no batch form (the bench harness drives its own
-    measurement loop); the runner special-cases them before calling here.
-    """
+    """Normalized spec -> the :class:`repro.engine.BatchSpec` it describes."""
     kind = spec["kind"]
     builder = (builders or _BATCH_BUILDERS).get(kind)
     if builder is None:

@@ -4,9 +4,11 @@
   LEARNCONS constraint learning of Algorithm 2 or the lazy baseline;
 * :func:`synthesize_ilp_ar` — Algorithm 3 (ILP with Approximate
   Reliability), the eager polynomial encoding of eqs. 9-11;
+* :func:`synthesize` — any of them by name (:data:`SYNTHESIS_ALGORITHMS`);
 * declarative requirement objects for eqs. 2-4.
 """
 
+from .algorithms import SYNTHESIS_ALGORITHMS, synthesize
 from .conditions import (
     AdequacyUnderConditions,
     OperatingCondition,
@@ -56,6 +58,7 @@ __all__ = [
     "Requirement",
     "RequireEdge",
     "RequireIncomingEdge",
+    "SYNTHESIS_ALGORITHMS",
     "SymmetryBreaking",
     "SynthesisResult",
     "TradeoffPoint",
@@ -69,6 +72,7 @@ __all__ = [
     "most_reliable_under_budget",
     "pareto_front",
     "standard_flight_conditions",
+    "synthesize",
     "synthesize_ilp_ar",
     "synthesize_ilp_tse",
     "synthesize_ilp_mr",

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ilp_ar import synthesize_ilp_ar
-from .ilp_mr import synthesize_ilp_mr
+from .algorithms import synthesize
 from .result import SynthesisResult
 from .spec import SynthesisSpec
 
@@ -47,14 +46,6 @@ class TradeoffPoint:
         return self.result.feasible
 
 
-def _synthesize(spec: SynthesisSpec, algorithm: str, **options) -> SynthesisResult:
-    if algorithm == "ar":
-        return synthesize_ilp_ar(spec, **options)
-    if algorithm == "mr":
-        return synthesize_ilp_mr(spec, **options)
-    raise ValueError(f"unknown algorithm {algorithm!r} (use 'ar' or 'mr')")
-
-
 def explore_tradeoff(
     spec: SynthesisSpec,
     levels: Sequence[float],
@@ -79,8 +70,6 @@ def explore_tradeoff(
     Infeasible levels are kept in the output (with their infeasible
     results) so callers can see where the template's redundancy runs out.
     """
-    if algorithm not in ("ar", "mr"):
-        raise ValueError(f"unknown algorithm {algorithm!r} (use 'ar' or 'mr')")
     # Imported lazily: repro.engine itself imports from repro.synthesis.
     from ..engine import requirement_sweep, run_batch, tradeoff_points
 
@@ -161,7 +150,7 @@ def most_reliable_under_budget(
             reliability_target=10.0**log_r,
             sinks_of_interest=spec.sinks_of_interest,
         )
-        result = _synthesize(level_spec, algorithm, **options)
+        result = synthesize(level_spec, algorithm, **options)
         return TradeoffPoint(r_star=10.0**log_r, result=result)
 
     best: Optional[TradeoffPoint] = None

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import (
-    AutoTuning,
     BnBOptions,
     Model,
     WarmStartContext,
@@ -206,11 +205,14 @@ class TestAutoTuningKnobs:
         m.minimize(lin_sum(xs))
         return m
 
-    def test_per_call_override(self):
-        res = solve(self.make(10), backend="auto", tuning=AutoTuning(scipy_vars=5))
+    def test_per_call_override(self, monkeypatch):
+        # ``auto`` reads its module thresholds at each call.
+        from repro.ilp import solver
+
+        monkeypatch.setattr(solver, "AUTO_SCIPY_VARS", 5)
+        res = solve(self.make(10), backend="auto")
         assert res.backend == "scipy"
-        res = solve(
-            self.make(10), backend="auto",
-            tuning=AutoTuning(scipy_vars=500, scipy_constrs=500),
-        )
+        monkeypatch.setattr(solver, "AUTO_SCIPY_VARS", 500)
+        monkeypatch.setattr(solver, "AUTO_SCIPY_CONSTRS", 500)
+        res = solve(self.make(10), backend="auto")
         assert res.backend == "bnb"

@@ -107,53 +107,12 @@ class TestCorrelation:
         assert rec["run"] == "explicit"
 
 
-class TestRotation:
-    def _emit_many(self, n, payload="x" * 40):
-        for i in range(n):
-            obs.log("rotate.test", seq=i, payload=payload)
-
-    def test_rotation_keeps_every_line_valid_jsonl(self, tmp_path):
+class TestAppend:
+    def test_records_append_to_one_file(self, tmp_path):
         path = tmp_path / "obs.jsonl"
-        obs.configure_obslog(path=path, max_bytes=512, backups=3)
-        self._emit_many(40)
-        obs.configure_obslog()  # detach / flush
-        rotated = sorted(tmp_path.glob("obs.jsonl*"))
-        assert len(rotated) > 1, "expected at least one rotation"
-        seqs = []
-        for f in rotated:
-            with f.open(encoding="utf-8") as fh:
-                for line in fh:
-                    rec = json.loads(line)  # every line must parse
-                    assert rec["event"] == "rotate.test"
-                    seqs.append(rec["seq"])
-        # backups cap retention, so the oldest records are gone — but
-        # what survives is a contiguous tail ending at the last emit
-        seqs.sort()
-        assert seqs == list(range(seqs[0], 40))
-
-    def test_backups_shift_and_cap(self, tmp_path):
-        path = tmp_path / "obs.jsonl"
-        obs.configure_obslog(path=path, max_bytes=200, backups=2)
-        self._emit_many(60)
+        obs.configure_obslog(path=path)
+        for i in range(50):
+            obs.log("append.test", seq=i, payload="x" * 40)
         obs.configure_obslog()
-        assert path.exists()
-        assert (tmp_path / "obs.jsonl.1").exists()
-        assert (tmp_path / "obs.jsonl.2").exists()
-        assert not (tmp_path / "obs.jsonl.3").exists()
-        # newest records live in the live file, oldest were dropped
-        last = json.loads(path.read_text().splitlines()[-1])
-        assert last["seq"] == 59
-
-    def test_no_rotation_when_disabled(self, tmp_path):
-        path = tmp_path / "obs.jsonl"
-        obs.configure_obslog(path=path)  # max_bytes=0 -> never rotate
-        self._emit_many(50)
-        obs.configure_obslog()
-        assert not (tmp_path / "obs.jsonl.1").exists()
-        assert len(read_log(path)) == 50
-
-    def test_rotation_rejects_bad_backups(self, tmp_path):
-        with pytest.raises(ValueError):
-            obs.configure_obslog(
-                path=tmp_path / "x.jsonl", max_bytes=100, backups=0
-            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.jsonl"]
+        assert [r["seq"] for r in read_log(path)] == list(range(50))

@@ -1,11 +1,14 @@
 """Tests for the SQLite telemetry warehouse (`repro.obs.warehouse`)."""
 
+import io
 import json
+import sqlite3
 import time
 
 import pytest
 
 from repro import obs
+from repro.obs.obslog import read_log
 from repro.obs.warehouse import TelemetryWarehouse
 
 
@@ -285,3 +288,149 @@ class TestAutoIngest:
     def test_ingest_failure_swallowed(self, tmp_path):
         obs.configure_auto_ingest(tmp_path / "wh.db")
         obs.maybe_auto_ingest(tmp_path / "missing.jsonl")  # must not raise
+
+
+def earlier_layout_file(path):
+    """A warehouse file as the earlier layout left it: ``jobs`` a table."""
+    conn = sqlite3.connect(str(path))
+    conn.execute("CREATE TABLE jobs (batch TEXT NOT NULL, job TEXT NOT NULL,"
+                 " PRIMARY KEY (batch, job))")
+    conn.commit()
+    conn.close()
+
+
+class TestEarlierLayout:
+    def test_file_with_a_jobs_table_is_refused(self, tmp_path):
+        db = tmp_path / "old.db"
+        earlier_layout_file(db)
+        with pytest.raises(ValueError, match="old.db") as err:
+            TelemetryWarehouse(db)
+        assert "re-ingest" in str(err.value)
+        # Nothing was written, and the refused connection let go of the
+        # file: another one can change it.
+        conn = sqlite3.connect(str(db))
+        names = {r[0] for r in conn.execute("SELECT name FROM sqlite_master")}
+        conn.execute("DROP TABLE jobs")
+        conn.commit()
+        conn.close()
+        assert names == {"jobs", "sqlite_autoindex_jobs_1"}
+
+    def test_auto_ingest_into_it_warns_and_the_batch_completes(
+        self, tmp_path
+    ):
+        from repro.engine import run_batch
+        from tests.engine.test_telemetry import small_batch
+
+        db = tmp_path / "old.db"
+        earlier_layout_file(db)
+        stream = io.StringIO()
+        obs.configure_obslog(stream=stream)
+        obs.configure_auto_ingest(db)
+        outcome = run_batch(small_batch(), telemetry=tmp_path / "tel.jsonl")
+        assert outcome.num_failed == 0 and len(outcome.results) == 2
+        failed = [r for r in map(json.loads, stream.getvalue().splitlines())
+                  if r["event"] == "warehouse.ingest_failed"]
+        assert len(failed) == 1
+        assert failed[0]["level"] == "warning"
+        assert "old.db" in failed[0]["error"]
+
+
+class TestNonFiniteFloats:
+    def test_infinity_and_nan_read_as_null(self, tmp_path):
+        journal = tmp_path / "tel.jsonl"
+        # json.dumps writes Infinity and NaN, as every producer does.
+        write_journal(journal, [
+            {"ts": 1.0, "batch": "b", "event": "bnb_event", "solve": 4,
+             "kind": "prune", "node": 7, "depth": 3, "objective": 12.5,
+             "reason": "bound", "incumbent": float("inf")},
+            {"ts": 2.0, "batch": "b", "event": "span", "uid": "7.1",
+             "parent": None, "name": "ilp.solve", "pid": 7, "dur": 0.25,
+             "attrs": {"bound": float("-inf"), "gap": float("nan"),
+                       "nodes": 3}},
+        ])
+        assert "Infinity" in journal.read_text(encoding="utf-8")
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        assert wh.ingest_file(journal) == {"bnb_events": 1, "spans": 1}
+        (bnb,) = wh.query(
+            "SELECT json_extract(payload, '$.incumbent') AS incumbent,"
+            " batch, ts, solve, kind, node, depth, objective, reason"
+            " FROM bnb_events")
+        assert bnb == {"incumbent": None, "batch": "b", "ts": 1.0,
+                       "solve": "4", "kind": "prune", "node": 7, "depth": 3,
+                       "objective": 12.5, "reason": "bound"}
+        (span,) = wh.query(
+            "SELECT json_extract(attrs, '$.bound') AS bound,"
+            " json_extract(attrs, '$.gap') AS gap,"
+            " json_extract(attrs, '$.nodes') AS nodes,"
+            " batch, uid, parent, name, pid, ts, dur FROM spans")
+        assert span == {"bound": None, "gap": None, "nodes": 3, "batch": "b",
+                        "uid": "7.1", "parent": None, "name": "ilp.solve",
+                        "pid": 7, "ts": 2.0, "dur": 0.25}
+        wh.close()
+
+
+class TestPoolJournal:
+    def test_views_match_a_traced_pool_bnb_sweep(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        files = ("t.jsonl", "tr.jsonl", "log.jsonl")
+        assert main(["sweep", "--domain", "eps", "--size", "2",
+                     "--levels", "2e-3,6.5e-4", "--backend", "bnb",
+                     "--jobs", "2", "--telemetry", files[0],
+                     "--trace-out", files[1], "--log", files[2]]) == 0
+        records = [r for name in files for r in read_log(tmp_path / name)]
+        events = [r for r in records if "level" not in r]
+
+        def of(*kinds):
+            return [r for r in events if r["event"] in kinds]
+
+        truth = {
+            "batches": len({r["batch"] for r in of("batch_start",
+                                                   "batch_end")}),
+            "jobs": len({(r["batch"], r["job"]) for r in of(
+                "job_start", "job_end", "job_retry", "job_timeout")}),
+            "spans": len(of("span")),
+            "metric_deltas": sum(
+                isinstance(m, dict) for r in of("metrics_snapshot")
+                for m in r["metrics"].values()),
+            "bnb_events": len(of("bnb_event")),
+            "logs": len(records) - len(events),
+        }
+        assert truth["batches"] == 1 and truth["jobs"] == 2
+        assert min(truth.values()) > 0
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        for name in files:
+            wh.ingest_file(tmp_path / name)
+        assert wh.counts() == truth
+
+        starts = {(r["batch"], r["job"]): r for r in of("job_start")}
+        for row in wh.query("SELECT * FROM jobs"):
+            start = starts[(row["batch"], row["job"])]
+            (end,) = [r for r in of("job_end") if r["job"] == row["job"]]
+            assert row == {
+                "batch": end["batch"], "job": end["job"],
+                "kind": start["kind"], "started_at": start["ts"],
+                "finished_at": end["ts"], "ok": int(end["ok"]),
+                "attempts": end["attempts"], "wall_time": end["wall_time"],
+                "cache_hits": end["cache_hits"],
+                "cache_misses": end["cache_misses"], "error": end["error"],
+                "retries": 0, "timeouts": 0,
+            }
+        ((start,), (end,)) = of("batch_start"), of("batch_end")
+        assert wh.batches() == [{
+            "batch": end["batch"], "name": start["name"],
+            "started_at": start["ts"], "finished_at": end["ts"],
+            "jobs": start["jobs"], "workers": start["workers"],
+            "ok": end["ok"], "failed": end["failed"],
+            "wall_time": end["wall_time"], "cache_hits": end["cache_hits"],
+            "cache_misses": end["cache_misses"],
+            "stopped": int(end["stopped"]),
+        }]
+        (types,) = wh.query(
+            "SELECT typeof(ok) AS ok, typeof(wall_time) AS wall_time,"
+            " typeof(job) AS job FROM jobs LIMIT 1")
+        assert types == {"ok": "integer", "wall_time": "real", "job": "text"}
+        wh.close()

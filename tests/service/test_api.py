@@ -251,3 +251,53 @@ class TestCancelOverHttp:
         code, doc, _ = request(f"{base}/api/jobs/{sub['run_id']}",
                                method="DELETE")
         assert code == 409
+
+
+class TestRetiredKinds:
+    def test_bench_spec_gets_400_listing_the_kinds(self, idle_service):
+        base, store = idle_service
+        code, doc, _ = request(f"{base}/api/jobs", method="POST",
+                               body=json.dumps({"kind": "bench"}).encode())
+        assert code == 400
+        (problem,) = [p for p in doc["problems"] if "'bench'" in p]
+        for kind in ("synthesize", "sweep", "verify"):
+            assert repr(kind) in problem
+        assert store.list() == []
+
+
+class TestOneAlgorithmPerName:
+    @pytest.mark.parametrize("algorithm, name", [
+        ("mr-lazy", "ILP-MR[lazy]"), ("tse", "ILP-TSE[order=2]"),
+    ])
+    def test_cli_sweep_and_tradeoff_run_the_posted_algorithm(
+        self, service, monkeypatch, capsys, algorithm, name
+    ):
+        from repro import cli
+
+        base, _ = service
+        params = {"domain": "eps", "size": 2, "levels": [2e-3, 6.5e-4],
+                  "backend": "scipy", "algorithm": algorithm}
+        _, sub, _ = request(
+            f"{base}/api/jobs", method="POST",
+            body=json.dumps({"kind": "sweep", "params": params}).encode(),
+        )
+        assert poll_terminal(base, sub["run_id"])["state"] == DONE
+        _, result, _ = request(f"{base}/api/jobs/{sub['run_id']}/result")
+        posted = [entry["value"]["algorithm"] for entry in result["results"]]
+        assert posted == [name, name]
+
+        outcomes = []
+        real_run_batch = cli.run_batch
+
+        def spy(batch, **kwargs):
+            outcomes.append(real_run_batch(batch, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "run_batch", spy)
+        argv = ["--domain", "eps", "--size", "2", "--levels", "2e-3,6.5e-4",
+                "--backend", "scipy", "--algorithm", algorithm]
+        for command in ("sweep", "tradeoff"):
+            assert cli.main([command, *argv]) == 0
+        assert len(outcomes) == 2
+        for outcome in outcomes:
+            assert [r.value.algorithm for r in outcome.results] == posted

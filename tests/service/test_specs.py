@@ -19,7 +19,7 @@ from repro.service.specs import _BATCH_BUILDERS
 
 class TestValidation:
     def test_minimal_specs_validate(self):
-        for kind in ("synthesize", "sweep", "verify", "bench"):
+        for kind in ("synthesize", "sweep", "verify"):
             assert validate_job_spec({"kind": kind}) == []
 
     def test_missing_kind(self):
@@ -134,7 +134,7 @@ class TestNormalization:
         assert spec_digest(a) != spec_digest(b)
 
     def test_normalized_spec_round_trips_json(self):
-        spec = normalize_job_spec({"kind": "bench"})
+        spec = normalize_job_spec({"kind": "verify"})
         assert json.loads(json.dumps(spec)) == spec
 
 
