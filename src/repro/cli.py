@@ -7,13 +7,14 @@ Mirrors the paper's ARCHEX prototype workflow from a terminal:
     resulting single-line diagram, cost, and reliability report.
 ``archex analyze --domain eps --target 2e-10``
     Synthesize, then report per-sink exact and approximate reliability.
-``archex scaling --sizes 20,30 --target 1e-11``
-    A Table II style scaling sweep.
-``archex tradeoff --levels 2e-3,2e-6,2e-10``
-    Sweep the requirement, print the Pareto front (Fig. 3 generalized).
-``archex sweep --jobs 4 --cache-dir .relcache``
-    Batch design-space exploration through :mod:`repro.engine`: parallel
-    workers, persistent reliability cache, JSONL run telemetry.
+``archex sweep --levels 2e-3,2e-6,2e-10``
+    Sweep the requirement r* and print the cost/reliability table and its
+    Pareto front (Fig. 3 generalized); ``--sizes 20,30`` runs a Table II
+    style scaling sweep over EPS template sizes instead. The flags become
+    the service's ``sweep`` job spec (:mod:`repro.service.specs`), so a
+    CLI sweep and a POSTed one run the same batch, through the
+    exploration engine: ``--jobs`` worker processes, a ``--cache-dir``
+    reliability cache, ``--telemetry`` JSONL.
 ``archex verify --fuzz 50 --seed 0``
     Differential verification of the reliability engines: seed corpus +
     seeded fuzzing, metamorphic properties, Monte-Carlo cross-check, and
@@ -23,16 +24,13 @@ Mirrors the paper's ARCHEX prototype workflow from a terminal:
     Render the B&B search tree (per-solve node/prune/incumbent roll-up)
     that a traced run streamed into its telemetry journal; ``--run ID``
     reads a stored service run instead.
-``archex profile --trace-out trace.json synthesize --algorithm mr``
-    Run any other subcommand under :mod:`repro.obs` tracing, print the
-    profile tree (and metrics), and optionally write a Chrome trace JSON
-    (``.json``, loadable in ``chrome://tracing`` / Perfetto) or a JSONL
-    span stream (``.jsonl``, the telemetry file format).
-
-The sweep-shaped commands (``scaling``, ``tradeoff``, ``sweep``) all route
-through the exploration engine and accept ``--jobs`` / ``--cache-dir`` /
-``--telemetry``. Every synthesis-shaped command also accepts ``--trace``
-/ ``--trace-out`` as a shorthand for ``profile``.
+``archex profile --trace-out trace.json -- synthesize --algorithm mr``
+    The one way to trace a command: run any other command, with all of
+    its own flags, under :mod:`repro.obs` tracing, print the profile tree
+    (and metrics), and optionally write a Chrome trace JSON (``.json``,
+    loadable in ``chrome://tracing`` / Perfetto) or a JSONL span stream
+    (``.jsonl``, the telemetry file format). ``--sample-profile FILE``
+    also runs it under the wall-clock sampling profiler.
 """
 
 from __future__ import annotations
@@ -41,7 +39,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, List, Optional
+from contextlib import nullcontext
+from typing import List, Optional
 
 from . import obs
 from .bench import (
@@ -52,13 +51,11 @@ from .bench import (
     run_bench,
     validate_bench_document,
 )
-from .domains import domain_spec, eps_scaling_specs
+from .domains import domain_spec
 from .arch import save_json
 from .engine import (
     EXECUTOR_MODES,
-    requirement_sweep,
     run_batch,
-    scaling_sweep,
     summarize_telemetry,
     tradeoff_points,
 )
@@ -75,27 +72,18 @@ from .report import (
     render_verification_table,
     section,
 )
-from .synthesis import (
-    SYNTHESIS_ALGORITHMS,
-    SynthesisSpec,
-    pareto_front,
-    synthesize,
-)
+from .synthesis import SYNTHESIS_ALGORITHMS, pareto_front, synthesize
 
 __all__ = ["main", "build_parser"]
 
 
-def _spec_for_domain(domain: str, target: Optional[float], size: int) -> SynthesisSpec:
-    # Shared with the service's job-spec builders, so a CLI invocation and
-    # a POSTed job spec construct byte-identical synthesis problems.
+def _run_synthesis(args: argparse.Namespace):
+    # domain_spec is shared with the service's job-spec builders, so a CLI
+    # invocation and a POSTed job spec construct byte-identical problems.
     try:
-        return domain_spec(domain, target=target, size=size)
+        spec = domain_spec(args.domain, target=args.target, size=args.size)
     except ValueError as exc:
         raise SystemExit(str(exc))
-
-
-def _run_synthesis(args: argparse.Namespace):
-    spec = _spec_for_domain(args.domain, args.target, args.size)
     result = synthesize(spec, args.algorithm, backend=args.backend,
                         mip_rel_gap=args.gap)
     return spec, result
@@ -142,46 +130,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _telemetry_path(args: argparse.Namespace) -> Optional[str]:
     """Explicit ``--telemetry`` path, or a default inside ``--cache-dir``."""
-    if getattr(args, "telemetry", None):
+    if args.telemetry:
         return args.telemetry
-    if getattr(args, "cache_dir", None):
+    if args.cache_dir:
         return os.path.join(args.cache_dir, "telemetry.jsonl")
     return None
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """Executor selection shared by every engine command."""
-    return {
-        "executor": getattr(args, "executor", None),
-        "queue_dir": getattr(args, "queue_dir", None),
-    }
-
-
-def _print_batch_footer(outcome, telemetry: Optional[str]) -> None:
-    print(f"\n{outcome.summary()}")
-    if telemetry and os.path.exists(telemetry):
-        print(f"telemetry: {telemetry}")
-        print(render_batch_summary(summarize_telemetry(telemetry)))
-
-
-def _eps_scaling_specs(sizes: List[int], target: Optional[float]):
-    return eps_scaling_specs(sizes, target=target)
-
-
-def _run_scaling_batch(args: argparse.Namespace):
-    batch = scaling_sweep(
-        _eps_scaling_specs(args.sizes, args.target),
-        algorithm=args.algorithm,
-        backend=args.backend,
-        mip_rel_gap=args.gap,
-    )
+def _run_engine(args: argparse.Namespace, batch):
+    """``run_batch`` under the engine flags: (outcome, telemetry path)."""
     telemetry = _telemetry_path(args)
     outcome = run_batch(
         batch, jobs=args.jobs, cache_dir=args.cache_dir, telemetry=telemetry,
-        **_engine_kwargs(args),
+        executor=args.executor, queue_dir=args.queue_dir,
     )
+    return outcome, telemetry
+
+
+def _print_scaling_table(results) -> None:
     rows = []
-    for res in outcome.results:
+    for res in results:
         result = res.unwrap()
         rows.append(
             (
@@ -202,28 +170,10 @@ def _run_scaling_batch(args: argparse.Namespace):
             rows,
         )
     )
-    return outcome, telemetry
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
-    outcome, telemetry = _run_scaling_batch(args)
-    if args.jobs > 1 or args.cache_dir or telemetry:
-        _print_batch_footer(outcome, telemetry)
-    return 0
-
-
-def _run_tradeoff_batch(args: argparse.Namespace):
-    spec = _spec_for_domain(args.domain, None, args.size)
-    batch = requirement_sweep(
-        spec, args.levels, algorithm=args.algorithm, backend=args.backend,
-        mip_rel_gap=args.gap,
-    )
-    telemetry = _telemetry_path(args)
-    outcome = run_batch(
-        batch, jobs=args.jobs, cache_dir=args.cache_dir, telemetry=telemetry,
-        **_engine_kwargs(args),
-    )
-    points = tradeoff_points(outcome.results)
+def _print_tradeoff_table(results) -> None:
+    points = tradeoff_points(results)
     rows = [
         (
             format_scientific(p.r_star),
@@ -240,29 +190,45 @@ def _run_tradeoff_batch(args: argparse.Namespace):
         ["cost", "r (exact)"],
         [(f"{p.cost:.6g}", format_scientific(p.reliability)) for p in front],
     ))
-    return outcome, telemetry
-
-
-def cmd_tradeoff(args: argparse.Namespace) -> int:
-    outcome, telemetry = _run_tradeoff_batch(args)
-    if args.jobs > 1 or args.cache_dir or telemetry:
-        _print_batch_footer(outcome, telemetry)
-    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Batch design-space exploration with the engine front and center.
+    """A requirement sweep (``--levels``) or a scaling sweep (``--sizes``).
 
-    A requirement sweep by default; ``--sizes`` switches to a Table II
-    style scaling sweep. Always prints the batch summary (cache hits,
-    wall time) and, when telemetry is on, the per-run roll-up table — the
+    The flags become a ``sweep`` job spec, which the service's
+    :func:`~repro.service.specs.normalize_job_spec` validates and
+    completes and its :func:`~repro.service.specs.build_batch` turns into
+    the batch, so this command and a POSTed sweep of the same parameters
+    run the same jobs. A spec problem exits nonzero with the problem
+    list. Prints the Table II table for ``--sizes``, else the tradeoff
+    table and its Pareto front, then the batch summary (cache hits, wall
+    time) and, when telemetry is on, the per-run roll-up table: the
     second run against a warm ``--cache-dir`` shows its speedup there.
     """
+    from .service.specs import build_batch, normalize_job_spec
+
+    target = args.target
+    if args.sizes and target is None:
+        target = 2e-10
+    try:
+        batch = build_batch(normalize_job_spec({"kind": "sweep", "params": {
+            "domain": args.domain, "algorithm": args.algorithm,
+            "backend": args.backend, "gap": args.gap, "size": args.size,
+            "target": target, "levels": args.levels, "sizes": args.sizes,
+        }}))
+    except ValueError as exc:  # a SpecError lists every problem
+        problems = getattr(exc, "errors", [str(exc)])
+        raise SystemExit("sweep: invalid parameters:\n"
+                         + "\n".join(f"  {p}" for p in problems))
+    outcome, telemetry = _run_engine(args, batch)
     if args.sizes:
-        outcome, telemetry = _run_scaling_batch(args)
+        _print_scaling_table(outcome.results)
     else:
-        outcome, telemetry = _run_tradeoff_batch(args)
-    _print_batch_footer(outcome, telemetry)
+        _print_tradeoff_table(outcome.results)
+    print(f"\n{outcome.summary()}")
+    if telemetry and os.path.exists(telemetry):
+        print(f"telemetry: {telemetry}")
+        print(render_batch_summary(summarize_telemetry(telemetry)))
     return 1 if outcome.num_failed else 0
 
 
@@ -298,11 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     batch = verification_batch(
         cases, tol=args.tol, mc_samples=args.mc_samples, seed=args.seed
     )
-    telemetry = _telemetry_path(args)
-    outcome = run_batch(
-        batch, jobs=args.jobs, cache_dir=args.cache_dir, telemetry=telemetry,
-        **_engine_kwargs(args),
-    )
+    outcome, telemetry = _run_engine(args, batch)
 
     findings: List[dict] = []
     checks = 0
@@ -378,65 +340,59 @@ def _write_trace(tracer: obs.Tracer, path: str) -> None:
     """Write a finished trace: ``.jsonl`` -> ``span`` records, else Chrome JSON.
 
     Both forms hold the local spans and those absorbed from pool or queue
-    workers.
+    workers. A ``span`` record carries its own ``ts`` and no batch id (no
+    ``batch_start`` names one), so warehouse retention ages it out by its
+    timestamp.
     """
     if path.endswith(".jsonl"):
-        with obs.TelemetryWriter(path, batch="trace") as writer:
+        with obs.TelemetryWriter(path) as writer:
             for s in tracer.spans:
                 if s.finished:
-                    writer.emit("span", **obs.span_record(s))
+                    writer.write({"event": "span", **obs.span_record(s)})
             for record in tracer.records:
-                writer.emit("span", **record)
+                writer.write({"event": "span", **record})
     else:
         obs.write_chrome_trace(path, tracer.spans, metrics=obs.snapshot(),
                                records=tracer.records)
     print(f"trace written: {path}")
 
 
-def _finish_trace(tracer: obs.Tracer, args: argparse.Namespace) -> None:
+def cmd_profile(args: argparse.Namespace) -> int:
+    """Run another command under tracing: ``archex profile [...] -- CMD``.
+
+    CMD runs through :func:`main`, so its own ``--serve``, ``--log``,
+    ``--warehouse`` and ``--alerts`` take effect. Afterwards the profile
+    tree and the metrics are printed, the trace is written to
+    ``--trace-out``, and with ``--sample-profile`` the collapsed stacks of
+    the wall-clock sampling profiler (5 ms period) too.
+    """
+    argv = list(args.argv)
+    if argv[:1] == ["--"]:
+        argv = argv[1:]
+    if not argv:
+        raise SystemExit("profile: give a command to run, e.g. "
+                         "`archex profile -- synthesize --algorithm mr`")
+    if argv[0] == "profile":
+        raise SystemExit("profile: cannot profile itself")
+    sampler = obs.SamplingProfiler() if args.sample_profile else None
+    obs.reset_metrics()
+    with obs.tracing() as tracer, (
+        nullcontext() if sampler is None else sampler
+    ):
+        code = main(argv)
     print(section("profile"))
-    print(render_profile(tracer.spans, limit=getattr(args, "top", None)))
+    print(render_profile(tracer.spans, limit=args.top))
     metrics = obs.snapshot()
     if metrics:
         print()
         print(render_metrics(metrics))
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        _write_trace(tracer, trace_out)
-
-
-def _run_traced(args: argparse.Namespace) -> int:
-    """Run a command function under tracing, then report the profile."""
-    obs.reset_metrics()
-    with obs.tracing() as tracer:
-        code = args.func(args)
-    _finish_trace(tracer, args)
-    return code
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Run any other subcommand under tracing (``archex profile -- ...``)."""
-    argv = list(args.argv)
-    if argv and argv[0] == "--":
-        argv = argv[1:]
-    if not argv:
-        raise SystemExit("profile: give a subcommand to run, e.g. "
-                         "`archex profile synthesize --algorithm mr`")
-    if argv[0] == "profile":
-        raise SystemExit("profile: cannot profile itself")
-    parser = build_parser()
-    inner = parser.parse_args(argv)
-    # The inner command's own --trace/--sample-profile flags are subsumed
-    # by this wrapper (main() already consumed the outer ones).
-    inner.trace = False
-    inner.trace_out = None
-    inner.sample_profile = None
-    inner.serve = None
-    inner.log = None
-    obs.reset_metrics()
-    with obs.tracing() as tracer:
-        code = inner.func(inner)
-    _finish_trace(tracer, args)
+    if args.trace_out:
+        _write_trace(tracer, args.trace_out)
+    if sampler is not None:
+        sampler.write_collapsed(args.sample_profile)
+        print(f"sampling profile written: {args.sample_profile} "
+              f"({sampler.samples} samples, {len(sampler)} distinct stacks "
+              f"@ {sampler.interval * 1000:.1f}ms)")
     return code
 
 
@@ -811,15 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "runs; firing alerts appear at /api/alerts and "
                        "degrade /healthz (default: .archex/alerts.toml "
                        "when present)")
-        p.add_argument("--sample-profile", default=None, metavar="FILE",
-                       help="run under the wall-clock sampling profiler and "
-                       "write collapsed stacks (flamegraph.pl / speedscope "
-                       "input) to FILE")
-        p.add_argument("--sample-interval", type=float, default=0.005,
-                       metavar="SECONDS",
-                       help="sampling profiler period (default 5ms)")
 
     def common(p: argparse.ArgumentParser) -> None:
+        """The problem and solver flags of synthesize, analyze and sweep."""
         obs_args(p)
         p.add_argument("--domain", default="eps",
                        choices=["eps", "power-grid", "comm-net"])
@@ -832,15 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative MIP gap (speeds up large instances)")
         p.add_argument("--size", type=int, default=0,
                        help="EPS generator count (0 = the paper's template)")
-        p.add_argument("--save-arch", default=None, metavar="FILE",
-                       help="save the synthesized architecture as JSON")
-        p.add_argument("--trace", action="store_true",
-                       help="run under repro.obs tracing and print the "
-                       "profile tree afterwards")
-        p.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write the trace (.json = Chrome trace event "
-                       "format, .jsonl = telemetry span stream); implies "
-                       "--trace")
 
     def engine_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -866,40 +807,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synthesize", help="synthesize an optimal architecture")
     common(p_syn)
+    p_syn.add_argument("--save-arch", default=None, metavar="FILE",
+                       help="save the synthesized architecture as JSON")
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_an = sub.add_parser("analyze", help="synthesize and report reliability detail")
     common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sc = sub.add_parser("scaling", help="Table II style scaling sweep")
-    common(p_sc)
-    engine_args(p_sc)
-    p_sc.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                      default=[20, 30])
-    p_sc.set_defaults(func=cmd_scaling)
-
-    p_to = sub.add_parser("tradeoff", help="requirement sweep + Pareto front")
-    common(p_to)
-    engine_args(p_to)
-    p_to.add_argument("--levels", type=lambda s: [float(x) for x in s.split(",")],
-                      default=[2e-3, 2e-6, 2e-10])
-    p_to.set_defaults(func=cmd_tradeoff)
-
     p_sw = sub.add_parser(
         "sweep",
-        help="batch design-space exploration (parallel, cached, telemetered)",
+        help="sweep r* (Pareto front) or, with --sizes, the EPS template "
+        "size (Table II); parallel, cached, telemetered",
     )
     common(p_sw)
     engine_args(p_sw)
     p_sw.add_argument("--levels", type=lambda s: [float(x) for x in s.split(",")],
-                      default=[2e-3, 2e-6, 2e-10],
-                      help="requirement levels to sweep")
+                      default=None,
+                      help="requirement levels r* to sweep "
+                      "(default 2e-3,2e-6,2e-10)")
     p_sw.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
                       default=None,
-                      help="EPS |V| sizes: run a scaling sweep instead of a "
-                      "requirement sweep")
-    p_sw.set_defaults(func=cmd_sweep)
+                      help="EPS |V| sizes: a Table II scaling sweep at "
+                      "--target (default 2e-10) instead of a requirement "
+                      "sweep; --domain and --size do not apply")
+    # No --target default here: only a --sizes sweep reads it.
+    p_sw.set_defaults(func=cmd_sweep, target=None)
 
     p_vf = sub.add_parser(
         "verify",
@@ -1134,37 +1067,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser(
         "profile",
-        help="run any subcommand under tracing; print the profile tree",
+        help="run another command under tracing (and sampling); print the "
+        "profile tree",
     )
     p_pr.add_argument("--trace-out", default=None, metavar="FILE",
                       help="write the trace (.json = Chrome trace event "
                       "format, .jsonl = telemetry span stream)")
     p_pr.add_argument("--top", type=int, default=None, metavar="N",
                       help="only print the first N rows of the profile tree")
+    p_pr.add_argument("--sample-profile", default=None, metavar="FILE",
+                      help="also run under the wall-clock sampling profiler "
+                      "(5 ms period) and write collapsed stacks "
+                      "(flamegraph.pl / speedscope input) to FILE")
     p_pr.add_argument("argv", nargs=argparse.REMAINDER,
-                      help="the subcommand (and its arguments) to profile")
+                      help="-- then the command (and its arguments) to "
+                      "profile")
     p_pr.set_defaults(func=cmd_profile)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.func is not cmd_profile and (
-        getattr(args, "trace", False) or getattr(args, "trace_out", None)
-    ):
-        return _run_traced(args)
-    return args.func(args)
-
-
-def _run_sampled(args: argparse.Namespace, inner: Callable[[argparse.Namespace], int]) -> int:
-    """Run ``inner`` under the wall-clock sampling profiler."""
-    profiler = obs.SamplingProfiler(interval=args.sample_interval)
-    with profiler:
-        code = inner(args)
-    profiler.write_collapsed(args.sample_profile)
-    print(f"sampling profile written: {args.sample_profile} "
-          f"({profiler.samples} samples, {len(profiler)} distinct stacks "
-          f"@ {args.sample_interval * 1000:.1f}ms)")
-    return code
 
 
 def _alert_rules(path) -> list:
@@ -1210,9 +1129,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"observability server: {server.url} "
               "(/metrics /runs /healthz /api/alerts)", file=sys.stderr)
     try:
-        if getattr(args, "sample_profile", None):
-            return _run_sampled(args, _dispatch)
-        return _dispatch(args)
+        return args.func(args)
     finally:
         if server is not None:
             server.stop()

@@ -27,8 +27,8 @@ turns those piles into first-class batches:
 * :mod:`repro.engine.telemetry` — JSONL run telemetry per batch plus
   roll-up summaries rendered by :func:`repro.report.render_batch_summary`.
 
-``repro.synthesis.explore_tradeoff``, the CLI ``scaling`` / ``tradeoff`` /
-``sweep`` commands and the benchmark harness all route through here.
+``repro.synthesis.explore_tradeoff``, the CLI ``sweep`` and ``verify``
+commands, the service and the benchmark harness all route through here.
 """
 
 from .cache import CacheStats, ReliabilityCache, problem_digest

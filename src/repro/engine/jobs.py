@@ -6,9 +6,9 @@ reliability query, a Monte-Carlo estimate, or a budget bisection — and a
 the paper's evaluation is made of:
 
 * :func:`requirement_sweep` — one synthesis per requirement level
-  (Fig. 3 / the ``tradeoff`` command);
+  (Fig. 3 / ``archex sweep --levels``);
 * :func:`scaling_sweep` — one synthesis per template size (Table II/III /
-  the ``scaling`` command);
+  ``archex sweep --sizes``);
 * :func:`contingency_sweep` — re-synthesize with each listed component
   knocked out (N-1 style design studies);
 * :func:`reliability_map` — exact or Monte-Carlo analysis per sink of a

@@ -12,7 +12,7 @@ on around an hours-long sweep.
 Output is the *collapsed stack* format flamegraph tooling eats directly
 (one ``frame;frame;frame count`` line per distinct stack), so::
 
-    archex synthesize --algorithm mr --sample-profile mr.collapsed
+    archex profile --sample-profile mr.collapsed -- synthesize --algorithm mr
     flamegraph.pl mr.collapsed > mr.svg     # Brendan Gregg's script
     # or paste into https://www.speedscope.app/
 

@@ -309,7 +309,13 @@ class TelemetryWarehouse:
     def query(
         self, sql: str, params: Sequence[Any] = ()
     ) -> List[Dict[str, Any]]:
-        """Run a read-only SQL statement, rows as plain dicts."""
+        """Run a read-only SQL statement, rows as plain dicts.
+
+        The statement runs with writes refused (``PRAGMA query_only``), so
+        one that writes past the keyword check, such as ``WITH ...
+        DELETE``, raises :class:`sqlite3.OperationalError` and changes
+        nothing.
+        """
         head = sql.lstrip().split(None, 1)
         if not head or head[0].lower() not in _READ_ONLY_PREFIXES:
             raise ValueError(
@@ -317,8 +323,12 @@ class TelemetryWarehouse:
                 f" ({', '.join(_READ_ONLY_PREFIXES)}); got {sql!r}"
             )
         with self._lock:
-            cur = self._conn.execute(sql, tuple(params))
-            return [dict(row) for row in cur.fetchall()]
+            self._conn.execute("PRAGMA query_only = ON")
+            try:
+                cur = self._conn.execute(sql, tuple(params))
+                return [dict(row) for row in cur.fetchall()]
+            finally:
+                self._conn.execute("PRAGMA query_only = OFF")
 
     def counts(self, batch: Optional[str] = None) -> Dict[str, int]:
         """Row counts per table (optionally scoped to one batch id)."""

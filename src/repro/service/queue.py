@@ -81,24 +81,21 @@ class JobQueue:
             self._threads.append(thread)
         return self
 
-    def shutdown(self, wait: bool = True, timeout: float = 30.0,
-                 drain: Optional[bool] = None) -> None:
+    def shutdown(self, wait: bool = True, timeout: float = 30.0) -> None:
         """Stop accepting work and (optionally) wait for workers to exit.
 
-        ``drain`` is an explicit alias for ``wait``: ``drain=True`` blocks
-        until in-flight runs reach a worker boundary. Queued-but-unstarted
-        runs stay PENDING in the store — a restart with ``--resume`` picks
-        them back up. The stop flag and the workers' PENDING->RUNNING
-        claim share one lock (see :meth:`_execute`), so after the flag is
-        set here no further run can slip into RUNNING: every run is
-        either claimed by a worker that will seal it, or still PENDING.
+        ``wait=True`` blocks until in-flight runs reach a worker boundary.
+        Queued-but-unstarted runs stay PENDING in the store — a restart
+        with ``--resume`` picks them back up. The stop flag and the
+        workers' PENDING->RUNNING claim share one lock (see
+        :meth:`_execute`), so after the flag is set here no further run
+        can slip into RUNNING: every run is either claimed by a worker
+        that will seal it, or still PENDING.
 
         The pool closes last: its idle workers exit here, and a run
         still in flight shuts its workers down when its batch ends. A
         restarted queue gets a new pool, which forks at its first run.
         """
-        if drain is not None:
-            wait = drain
         with self._lock:
             self._stopping = True
         for _ in self._threads:

@@ -10,17 +10,17 @@ defaults filled in, keys ordered, and the result digested
 (:func:`spec_digest`) so two submissions of the same work share a content
 address.
 
-:func:`build_batch` turns a normalized spec into the same
-:class:`repro.engine.BatchSpec` the CLI's ``sweep`` / ``verify`` commands
-build, so a service run and a direct ``run_batch`` of the same spec execute
-bit-for-bit identical work.
+:func:`build_batch` turns a normalized spec into its
+:class:`repro.engine.BatchSpec`. The CLI's ``sweep`` command builds its
+batch through these two functions too, so a service run, a CLI sweep and a
+direct ``run_batch`` of the same spec execute bit-for-bit identical work.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from ..synthesis.algorithms import SYNTHESIS_ALGORITHMS
 
@@ -276,7 +276,7 @@ def _build_synthesize(params: Dict[str, Any]):
         },
         meta={"domain": params["domain"], "algorithm": params["algorithm"]},
     )
-    return BatchSpec(name="service-synthesize", jobs=[job],
+    return BatchSpec(name="synthesize", jobs=[job],
                      meta={"algorithm": params["algorithm"]})
 
 
@@ -288,14 +288,11 @@ def _build_sweep(params: Dict[str, Any]):
     if params.get("sizes"):
         return scaling_sweep(
             eps_scaling_specs(params["sizes"], params["target"]),
-            algorithm=params["algorithm"],
-            name="service-scaling-sweep",
-            **options,
+            algorithm=params["algorithm"], **options,
         )
     spec = domain_spec(params["domain"], target=None, size=params["size"])
     return requirement_sweep(
-        spec, params["levels"], algorithm=params["algorithm"],
-        name="service-requirement-sweep", **options,
+        spec, params["levels"], algorithm=params["algorithm"], **options,
     )
 
 
@@ -332,10 +329,10 @@ def register_batch_builder(
     return fn
 
 
-def build_batch(spec: Dict[str, Any], builders: Optional[Dict] = None):
+def build_batch(spec: Dict[str, Any]):
     """Normalized spec -> the :class:`repro.engine.BatchSpec` it describes."""
     kind = spec["kind"]
-    builder = (builders or _BATCH_BUILDERS).get(kind)
+    builder = _BATCH_BUILDERS.get(kind)
     if builder is None:
         raise SpecError([f"no batch builder for job kind {kind!r}"])
     return builder(spec.get("params", {}))

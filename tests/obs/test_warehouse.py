@@ -217,6 +217,25 @@ class TestQueryGuard:
         assert wh.query("SELECT COUNT(*) AS n FROM jobs")[0]["n"] == 0
         wh.close()
 
+    def test_a_write_behind_a_read_keyword_changes_nothing(self, tmp_path):
+        journal = tmp_path / "tel.jsonl"
+        write_journal(journal, telemetry_events())
+        wh = TelemetryWarehouse(tmp_path / "wh.db")
+        wh.ingest_file(journal)
+        before = wh.counts()
+        assert before["spans"] == 1
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            wh.query("WITH t AS (SELECT 1)"
+                     " DELETE FROM records WHERE event = 'span'")
+        assert wh.counts() == before
+        # Writes are refused only while query() runs.
+        later = tmp_path / "later.jsonl"
+        write_journal(later, telemetry_events(batch="b-2"))
+        assert wh.ingest_file(later)["jobs"] == 2
+        assert wh.vacuum(keep_batches=1)["spans"] == 1
+        assert wh.counts()["batches"] == 1
+        wh.close()
+
 
 class TestVacuum:
     def test_keep_batches_drops_oldest(self, tmp_path):
@@ -377,10 +396,11 @@ class TestPoolJournal:
 
         monkeypatch.chdir(tmp_path)
         files = ("t.jsonl", "tr.jsonl", "log.jsonl")
-        assert main(["sweep", "--domain", "eps", "--size", "2",
+        assert main(["profile", "--trace-out", files[1], "--",
+                     "sweep", "--domain", "eps", "--size", "2",
                      "--levels", "2e-3,6.5e-4", "--backend", "bnb",
                      "--jobs", "2", "--telemetry", files[0],
-                     "--trace-out", files[1], "--log", files[2]]) == 0
+                     "--log", files[2]]) == 0
         records = [r for name in files for r in read_log(tmp_path / name)]
         events = [r for r in records if "level" not in r]
 
@@ -433,4 +453,8 @@ class TestPoolJournal:
             "SELECT typeof(ok) AS ok, typeof(wall_time) AS wall_time,"
             " typeof(job) AS job FROM jobs LIMIT 1")
         assert types == {"ok": "integer", "wall_time": "real", "job": "text"}
+        # The trace's span records carry no batch id, so they age out by
+        # their own timestamps along with the finished batch.
+        wh.vacuum(max_age=0)
+        assert wh.counts()["spans"] == 0
         wh.close()

@@ -269,7 +269,7 @@ class TestOneAlgorithmPerName:
     @pytest.mark.parametrize("algorithm, name", [
         ("mr-lazy", "ILP-MR[lazy]"), ("tse", "ILP-TSE[order=2]"),
     ])
-    def test_cli_sweep_and_tradeoff_run_the_posted_algorithm(
+    def test_cli_sweep_matches_the_posted_sweep(
         self, service, monkeypatch, capsys, algorithm, name
     ):
         from repro import cli
@@ -294,10 +294,10 @@ class TestOneAlgorithmPerName:
             return outcomes[-1]
 
         monkeypatch.setattr(cli, "run_batch", spy)
-        argv = ["--domain", "eps", "--size", "2", "--levels", "2e-3,6.5e-4",
-                "--backend", "scipy", "--algorithm", algorithm]
-        for command in ("sweep", "tradeoff"):
-            assert cli.main([command, *argv]) == 0
-        assert len(outcomes) == 2
-        for outcome in outcomes:
-            assert [r.value.algorithm for r in outcome.results] == posted
+        assert cli.main(["sweep", "--domain", "eps", "--size", "2",
+                         "--levels", "2e-3,6.5e-4", "--backend", "scipy",
+                         "--algorithm", algorithm]) == 0
+        (outcome,) = outcomes
+        assert [r.value.algorithm for r in outcome.results] == posted
+        assert json.loads(json.dumps(
+            canonical_results(outcome.results))) == result["results"]

@@ -293,9 +293,9 @@ class TestDrainRace:
         })
         wait_for_state(store, busy.run_id, {RUNNING})
         queued = queue.submit({"kind": "sleepy"})
-        # drain=True must override wait=False and block until the worker
-        # reaches a boundary; the queued run stays PENDING for --resume.
-        queue.shutdown(wait=False, drain=True)
+        # wait=True blocks until the worker reaches a boundary; the
+        # queued run stays PENDING for --resume.
+        queue.shutdown(wait=True)
         assert store.load(busy.run_id).state == DONE
         assert store.load(queued.run_id).state == PENDING
 

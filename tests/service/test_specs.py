@@ -151,9 +151,9 @@ class TestBatchBuilders:
         direct = requirement_sweep(
             domain_spec("eps", target=None, size=2),
             [2e-3, 2e-6], algorithm="mr",
-            name="service-requirement-sweep",
             backend="scipy", mip_rel_gap=None,
         )
+        assert batch.name == direct.name
         assert [j.job_id for j in batch.jobs] == [
             j.job_id for j in direct.jobs
         ]

@@ -54,8 +54,10 @@ class TestCliParser:
         assert args.target == 2e-10
 
     def test_scaling_sizes_parse(self):
-        args = build_parser().parse_args(["scaling", "--sizes", "20,30,40"])
+        args = build_parser().parse_args(["sweep", "--sizes", "20,30,40"])
         assert args.sizes == [20, 30, 40]
+        # Left to cmd_sweep and the job spec to fill in.
+        assert args.levels is None and args.target is None
 
     def test_bad_domain_rejected(self):
         with pytest.raises(SystemExit):
@@ -94,7 +96,7 @@ class TestCliExecution:
 class TestCliTradeoffAndSave:
     def test_tradeoff_comm_net(self, capsys):
         code = main(
-            ["tradeoff", "--domain", "comm-net", "--levels", "1e-3,1e-6",
+            ["sweep", "--domain", "comm-net", "--levels", "1e-3,1e-6",
              "--backend", "scipy"]
         )
         out = capsys.readouterr().out
@@ -119,20 +121,58 @@ class TestCliTradeoffAndSave:
 class TestCliScaling:
     def test_scaling_small(self, capsys):
         code = main(
-            ["scaling", "--sizes", "10", "--target", "1e-3",
+            ["sweep", "--sizes", "10", "--target", "1e-3",
              "--backend", "scipy", "--algorithm", "ar"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "10 (2)" in out
 
+    def test_sweep_defaults_come_from_the_spec(self, monkeypatch):
+        from repro import cli
+
+        class Built(Exception):
+            pass
+
+        batches = []
+
+        def capture(batch, **kwargs):
+            batches.append(batch)
+            raise Built
+
+        monkeypatch.setattr(cli, "run_batch", capture)
+        for argv in (["sweep", "--sizes", "10"], ["sweep"]):
+            with pytest.raises(Built):
+                main(argv)
+        sizes, levels = batches
+        assert [j.payload["spec"].reliability_target
+                for j in sizes.jobs] == [2e-10]
+        assert [j.meta["r_star"] for j in levels.jobs] == [2e-3, 2e-6, 2e-10]
+        assert (sizes.name, levels.name) == ("scaling-sweep",
+                                             "requirement-sweep")
+
+    def test_spec_problem_exits_with_the_problem_list(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--levels", "2e-3,-1"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "$.params.levels[1]: -1.0 <= exclusiveMinimum 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--levels", "2e-3", "--sizes", "10"])
+        assert "give either levels or sizes" in str(err.value.code)
+
 
 class TestCliProfile:
     ARGS = ["synthesize", "--domain", "comm-net", "--algorithm", "mr",
             "--target", "1e-3", "--backend", "scipy"]
 
-    def test_trace_flag_prints_profile(self, capsys):
-        code = main(self.ARGS + ["--trace"])
+    def test_profile_prints_the_span_tree_and_metrics(self, capsys):
+        code = main(["profile", "--"] + self.ARGS)
         out = capsys.readouterr().out
         assert code == 0
         assert "profile" in out
@@ -145,7 +185,7 @@ class TestCliProfile:
         import json
 
         trace = tmp_path / "trace.json"
-        code = main(self.ARGS + ["--trace-out", str(trace)])
+        code = main(["profile", "--trace-out", str(trace), "--"] + self.ARGS)
         assert code == 0
         doc = json.loads(trace.read_text())
         names = [e["name"] for e in doc["traceEvents"]]
@@ -173,24 +213,48 @@ class TestCliProfile:
         assert {e["event"] for e in events} == {"span"}
         assert "ilp_mr" in {e["name"] for e in events}
         assert all(e["uid"] and e["dur"] >= 0 for e in events)
+        # No batch_start names a batch for them: retention goes by ts.
+        assert all("batch" not in e for e in events)
 
     def test_pool_sweep_jsonl_trace_out_keeps_worker_spans(self, tmp_path,
                                                            capsys):
         # The .jsonl trace holds the same span records as the .json one:
         # the workers' engine.job spans come home through their spools.
+        # The sweep runs through main(), so its own --log and --warehouse
+        # take effect under profile too.
         import os
 
         from repro.engine import read_events
+        from repro.obs.warehouse import TelemetryWarehouse
 
         trace = tmp_path / "pool-spans.jsonl"
+        log, warehouse = tmp_path / "log.jsonl", tmp_path / "wh.db"
         code = main(["profile", "--trace-out", str(trace), "--",
                      "sweep", "--domain", "eps", "--levels", "2e-3,2e-6",
-                     "--backend", "scipy", "--jobs", "2"])
+                     "--backend", "scipy", "--jobs", "2",
+                     "--telemetry", str(tmp_path / "tel.jsonl"),
+                     "--log", str(log), "--warehouse", str(warehouse)])
         assert code == 0
         jobs = [e for e in read_events(trace)
                 if e["event"] == "span" and e["name"] == "engine.job"]
         assert len(jobs) == 2
         assert all(e["pid"] != os.getpid() for e in jobs)
+        assert log.stat().st_size > 0
+        with TelemetryWarehouse(warehouse) as wh:
+            (batch,) = wh.batches()
+        assert batch["name"] == "requirement-sweep" and batch["ok"] == 2
+
+    def test_sample_profile_writes_collapsed_stacks(self, tmp_path, capsys):
+        stacks = tmp_path / "mr.collapsed"
+        code = main(["profile", "--sample-profile", str(stacks), "--"]
+                    + self.ARGS)
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = stacks.read_text().splitlines()
+        assert lines and all(line.rsplit(" ", 1)[1].isdigit()
+                             for line in lines)
+        assert "sampling profile written" in out and "@ 5.0ms" in out
+        assert "ilp_mr.solve" in out  # the span tree, as without sampling
 
     def test_profile_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
@@ -203,7 +267,7 @@ class TestCliProfile:
     def test_tracing_disabled_after_run(self, capsys):
         from repro import obs
 
-        assert main(self.ARGS + ["--trace"]) == 0
+        assert main(["profile", "--"] + self.ARGS) == 0
         capsys.readouterr()
         assert not obs.enabled()
 
@@ -218,8 +282,9 @@ class TestModuleEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert "synthesize" in proc.stdout
-        assert "tradeoff" in proc.stdout
+        assert "synthesize" in proc.stdout and "sweep" in proc.stdout
+        assert "scaling" not in proc.stdout
+        assert "tradeoff" not in proc.stdout
 
 
 class TestRunsCli:
