@@ -232,8 +232,9 @@ def _warm_lp_row(gens: int) -> dict:
         build_eps_template(num_generators=gens), reliability_target=1e-4
     )
     form = spec.build_encoder().model.to_matrix_form()
-    # Built once, as branch and bound builds it once per search, so the
-    # timings below are the solves alone.
+    # Each solve gets its own equality form, built outside the timer: a
+    # shared one would hand the repeats of the warm solve the basis
+    # factors the first one kept, overstating the per-node saving.
     lp_form = EqualityForm(form.A, form.senses)
     start = time.perf_counter()
     base = solve_lp(
@@ -253,6 +254,7 @@ def _warm_lp_row(gens: int) -> dict:
     def timed(warm_basis):
         times = []
         for _ in range(_WARM_LP_REPEATS):
+            lp_form = EqualityForm(form.A, form.senses)
             start = time.perf_counter()
             res = solve_lp(
                 form.c, lp_form, form.senses, form.b, lb, ub,
@@ -514,15 +516,18 @@ def validate_bench_document(doc: dict) -> List[str]:
 def _entry_metrics(doc: dict) -> Dict[str, float]:
     """Flatten a bench document into scalar time-series metrics.
 
-    Keys are ``kind/instance[/backend]/metric``. ``*_seconds`` metrics
-    are lower-is-better; ``*/speedup`` is higher-is-better (the
-    comparator keys direction off the suffix).
+    Keys are ``kind/instance[/backend]/metric``; an ``ilp_mr`` row's
+    instance carries its target (``eps-g2@0.0005``), so two targets on
+    one template keep separate series. ``*_seconds`` metrics are
+    lower-is-better; ``*/speedup`` is higher-is-better (the comparator
+    keys direction off the suffix).
     """
     metrics: Dict[str, float] = {}
     for row in doc.get("rows", []):
         kind = row.get("kind")
         if kind == "ilp_mr":
-            base = f"ilp_mr/{row['instance']}/{row['backend']}"
+            base = (f"ilp_mr/{row['instance']}@{row['reliability_target']:g}"
+                    f"/{row['backend']}")
             metrics[f"{base}/warm_wall_seconds"] = row["warm"]["wall_seconds"]
             metrics[f"{base}/cold_wall_seconds"] = row["cold"]["wall_seconds"]
             metrics[f"{base}/speedup"] = row["speedup"]

@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sqlite3
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -690,7 +691,12 @@ def cmd_obs(args: argparse.Namespace) -> int:
             return 0
         if args.obs_action == "query":
             if args.sql:
-                rows = wh.query(args.sql)
+                try:
+                    rows = wh.query(args.sql)
+                except (sqlite3.Error, ValueError) as exc:
+                    # Bad SQL, or a write the read-only guard refused.
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
                 if args.json:
                     print(json.dumps(rows, indent=2, sort_keys=True,
                                      default=str))

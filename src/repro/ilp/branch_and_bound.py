@@ -9,7 +9,9 @@ ARCHEX prototype. It is a textbook LP-relaxation branch-and-bound:
 * every node inherits its parent's optimal basis and re-optimizes with the
   dual simplex — branching only tightens one variable bound, which leaves
   the parent basis dual feasible — so child LPs skip phase 1 entirely
-  (``BnBOptions.warm_start``);
+  (``BnBOptions.warm_start``). Both children install the same basis, and
+  the search's equality form keeps the factors of the last few bases
+  installed, so the second child usually skips the factorization;
 * an initial incumbent can be seeded (:func:`solve_milp`'s ``incumbent``)
   so bound pruning is active from node zero — ILP-MR passes the previous
   iteration's optimum when it is still feasible;
@@ -238,7 +240,8 @@ def _solve_milp_search(
     int_idx = np.flatnonzero(int_mask)
     counter = itertools.count()
 
-    lp_form = EqualityForm(form.A, form.senses)  # shared by every node LP
+    # Shared by every node LP, with the basis factors it keeps.
+    lp_form = EqualityForm(form.A, form.senses)
 
     def lp_solve(
         lb: np.ndarray, ub: np.ndarray, basis: Optional[LPBasis] = None

@@ -11,14 +11,19 @@ pieces that make CEGIS-style re-solving cheap — a *warm* start path:
   built once per branch-and-bound search), its transpose is a CSR view of
   the same arrays, so pricing a row (reduced costs, the dual pivot row) is
   one sparse product and an entering column is scattered straight from the
-  CSC arrays;
+  CSC arrays. Once the artificials are pinned at zero (a warm start, or
+  phase 2) they can never enter, so pricing reads only the structural and
+  slack rows of the transpose;
 * the basis columns are LU-factorized with SuperLU
   (``scipy.sparse.linalg.splu``) and maintained across pivots with
   product-form *eta* updates; every solve of ``B x = b`` (FTRAN) or
   ``B^T y = c`` (BTRAN) runs against the factors. The factorization is
   rebuilt every ``_REFACTOR_EVERY`` pivots to bound eta-file growth and
-  drift. No dense BLAS runs on the pivot path, so the pivot sequence does
-  not depend on the BLAS thread count;
+  drift. The form keeps the factors of the last ``_FACTOR_CACHE_SIZE``
+  warm-installed bases, so the second child of a branching usually
+  installs its parent's basis without a second ``splu``. No dense BLAS
+  runs on the pivot path, so the pivot sequence does not depend on the
+  BLAS thread count;
 * :func:`solve_lp` accepts a starting :class:`LPBasis` and re-optimizes from
   it with a bounded-variable **dual simplex** — the textbook move after
   tightening bounds (branch-and-bound children) or appending rows (learned
@@ -48,10 +53,11 @@ infeasibility.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -72,6 +78,10 @@ _BLAND_BASE = 2000
 _BLAND_FACTOR = 10
 _MAX_ITER_FACTOR = 200
 _REFACTOR_EVERY = 64
+#: Warm-installed bases whose SuperLU factors an :class:`EqualityForm`
+#: keeps, oldest out first. Kept factors stay resident while the form
+#: lives, and more entries add memory faster than they add reuse.
+_FACTOR_CACHE_SIZE = 2
 
 #: Sentinel in :attr:`LPBasis.row_status` for rows without a slack column
 #: (equality rows) or rows whose basis information is unusable.
@@ -141,9 +151,11 @@ class EqualityForm:
     Column ``n + k`` is the slack of row ``slack_rows[k]`` (``+1`` for
     ``<=``, ``-1`` for ``>=``; equality rows have none), and the last ``m``
     columns are one artificial per row. ``at`` is the CSR transpose over
-    the same arrays. Branch and bound builds one per search and passes it
-    to :func:`solve_lp` as ``a`` for every node LP; a cold start rewrites
-    the artificial signs in place, so one form serves one solve at a time.
+    the same arrays, and ``at_priced`` the CSR of its structural and slack
+    rows: the columns that can enter once the artificials are pinned at
+    zero. Branch and bound builds one per search and passes it to
+    :func:`solve_lp` as ``a`` for every node LP; a cold start rewrites the
+    artificial signs in place, so one form serves one solve at a time.
     """
 
     def __init__(self, a, senses: Sequence[str]) -> None:
@@ -167,10 +179,32 @@ class EqualityForm:
             shape=(m, n + n_slack + m),
         )
         self.at = self.a.T
+        self.at_priced = self.at[: n + n_slack]
         self.m, self.n = m, n
         self.slack_rows = slack_rows
         #: Positions of the artificial columns' values in ``a.data``.
         self.artificial_data = slice(a.nnz + n_slack, a.nnz + n_slack + m)
+        self._kept: Dict[bytes, _BasisFactors] = {}
+
+    def factorize(self, basis: np.ndarray) -> Tuple["_BasisFactors", bool]:
+        """Factors of the basis columns ``basis`` with an empty eta file,
+        and whether ``splu`` ran for them.
+
+        The factors of the last :data:`_FACTOR_CACHE_SIZE` bases factored
+        here are kept, keyed by their columns: in branch and bound both
+        children of a node install their parent's basis, so the second
+        reuses the first's factors. ``splu`` of the same matrix gives the
+        same factors, so a kept entry changes no float. A singular basis
+        raises :class:`_SingularBasis` and is not kept.
+        """
+        key = basis.tobytes()
+        kept = self._kept.get(key)
+        if kept is not None:
+            return kept.restart(), False
+        kept = self._kept[key] = _BasisFactors(self.a[:, basis])
+        while len(self._kept) > _FACTOR_CACHE_SIZE:
+            del self._kept[next(iter(self._kept))]  # the oldest
+        return kept.restart(), True
 
 
 def solve_lp(
@@ -311,6 +345,12 @@ class _BasisFactors:
             raise _SingularBasis
         self.etas: List[Tuple[int, np.ndarray]] = []
 
+    def restart(self) -> "_BasisFactors":
+        """The same LU factors with an empty eta file."""
+        fresh = copy.copy(self)
+        fresh.etas = []
+        return fresh
+
     @property
     def eta_len(self) -> int:
         return len(self.etas)
@@ -323,18 +363,23 @@ class _BasisFactors:
         """Solve ``B x = rhs``."""
         x = self._lu.solve(rhs)
         for pos, eta in self.etas:
-            t = x[pos]
+            t = x.item(pos)  # a Python float: the same product, less dispatch
             if t != 0.0:
                 x += eta * t
-                x[pos] = eta[pos] * t
+                x[pos] = eta.item(pos) * t
         return x
 
-    def btran(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``B^T y = rhs``."""
-        y = np.asarray(rhs, dtype=float).copy()
+    def btran(self, y: np.ndarray) -> np.ndarray:
+        """Solve ``B^T x = y``, overwriting the float array ``y``."""
         for pos, eta in reversed(self.etas):
-            y[pos] = eta @ y
+            y[pos] = eta.dot(y)  # the kernel ``@`` calls, less dispatch
         return self._lu.solve(y, trans="T")
+
+    def btran_row(self, pos: int) -> np.ndarray:
+        """Row ``pos`` of ``B^-1``: solve ``B^T x = e_pos``."""
+        y = np.zeros(self._lu.shape[0])
+        y[pos] = 1.0
+        return self.btran(y)
 
     def update(self, alpha: np.ndarray, pos: int) -> None:
         """Record the pivot replacing basic position ``pos``.
@@ -357,7 +402,10 @@ class _BoundedSimplex:
     ``lb``/``ub`` bound the structural columns of ``form``; the tableau
     columns are laid out as ``[structural+slack | artificial]``;
     the artificial block only participates in cold starts and is pinned at
-    zero afterwards (and from the beginning on warm starts).
+    zero afterwards (and from the beginning on warm starts). Reduced costs,
+    pricing and the dual ratio test run over the first ``priced`` columns:
+    all of them in phase 1, the structural and slack ones once the
+    artificials are pinned.
     """
 
     def __init__(
@@ -368,7 +416,8 @@ class _BoundedSimplex:
         ub: np.ndarray,
         max_iterations: Optional[int],
     ) -> None:
-        self.a, self.at = form.a, form.at
+        self.form = form
+        self.a = form.a
         self._artificial_data = form.artificial_data
         self.m = form.m
         self.n = self.a.shape[1] - self.m
@@ -411,8 +460,7 @@ class _BoundedSimplex:
         phase1_obj = float(c1 @ self._values())
         if phase1_obj > _FEAS_TOL * max(1.0, np.abs(self.b).max(initial=1.0)):
             return LPStatus.INFEASIBLE, iterations
-        # Pin artificials at zero so they never re-enter.
-        self.ub[self.n_structural :] = 0.0
+        self._pin_artificials()
         self._index_columns()
         self._evict_artificials()
 
@@ -448,7 +496,7 @@ class _BoundedSimplex:
         if len(basis) != self.m:
             return False
         # Artificials never participate in a warm solve.
-        self.ub[self.n_structural :] = 0.0
+        self._pin_artificials()
         # Normalize nonbasic statuses against the *current* bounds (they may
         # have changed since the basis was recorded: branching tightens them).
         lb, ub = self.lb, self.ub
@@ -460,10 +508,10 @@ class _BoundedSimplex:
         full[flip] = _AT_UPPER
         xn = np.where(full == _AT_UPPER, ub, np.where(np.isfinite(lb), lb, 0.0))
         try:
-            factors = _BasisFactors(self.a[:, basis])
+            factors, factored = self.form.factorize(basis)
         except _SingularBasis:
             return False
-        self.refactorizations += 1
+        self.refactorizations += factored
         self.status_flags = full
         self.basis = basis
         self.xn = xn
@@ -485,6 +533,7 @@ class _BoundedSimplex:
         # One artificial per row, signed so its value is |residual| >= 0.
         self.a.data[self._artificial_data] = np.where(residual >= 0, 1.0, -1.0)
         self.ub[self.n_structural :] = math.inf
+        self.priced, self.priced_at = self.n_total, self.form.at
         xn[self.n :] = np.abs(residual)
         self.xn = xn
         self.status_flags = np.concatenate(
@@ -494,6 +543,12 @@ class _BoundedSimplex:
         self.factors: Optional[_BasisFactors] = None
         self.xb: Optional[np.ndarray] = None
         self._index_columns()
+
+    def _pin_artificials(self) -> None:
+        """Fix the artificials at zero, so they never (re-)enter and
+        pricing skips them."""
+        self.ub[self.n_structural :] = 0.0
+        self.priced, self.priced_at = self.n_structural, self.form.at_priced
 
     def _index_columns(self) -> None:
         """Derive the pricing state from the flags, bounds and basis.
@@ -585,14 +640,16 @@ class _BoundedSimplex:
         return values
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        """Reduced costs of the priced columns."""
         y = self.factors.btran(c[self.basis])
-        return c - self.at @ y
+        return c[: self.priced] - self.priced_at @ y
 
     def _dual_feasible(self, reduced: np.ndarray, tol: float = 1e-7) -> bool:
+        k = self.priced
         free = self.free
-        if free is not None and np.any(np.abs(reduced[free]) > tol):
+        if free is not None and np.any(np.abs(reduced[free[:k]]) > tol):
             return False
-        return not np.any(self.direction * reduced < -tol)
+        return not np.any(self.direction[:k] * reduced < -tol)
 
     def _primal_feasible(self, tol: float = _FEAS_TOL) -> bool:
         return bool(
@@ -603,7 +660,7 @@ class _BoundedSimplex:
     def _evict_artificials(self) -> None:
         """Pivot basic artificials (at value ~0) out of the basis when possible."""
         changed = False
-        structural = slice(0, self.n_structural)
+        flags = self.status_flags[: self.n_structural]
         for pos in range(self.m):
             if self.basis[pos] < self.n_structural:
                 continue
@@ -613,10 +670,9 @@ class _BoundedSimplex:
                 break
             # Row ``pos`` of B^-1 A: a structural nonbasic column with a
             # nonzero element there can replace the artificial.
-            row = self.at @ self.factors.btran(_unit(self.m, pos))
+            row = self.priced_at @ self.factors.btran_row(pos)
             candidates = np.flatnonzero(
-                (np.abs(row[structural]) > 1e-7)
-                & (self.status_flags[structural] != _BASIC)
+                (np.abs(row) > 1e-7) & (flags != _BASIC)
             )
             if not candidates.size:
                 continue
@@ -715,9 +771,11 @@ class _BoundedSimplex:
 
     def _price(self, reduced: np.ndarray, use_bland: bool) -> Optional[int]:
         """Pick the entering variable (Dantzig, or Bland when anti-cycling)."""
-        score = -self.direction * reduced
+        k = self.priced
+        score = -self.direction[:k] * reduced
         free = self.free
         if free is not None:
+            free = free[:k]
             score[free] = np.abs(reduced[free])
         candidates = score > _TOL
         if not np.any(candidates):
@@ -751,12 +809,12 @@ class _BoundedSimplex:
             below = self.basic_lb - self.xb
             above = self.xb - self.basic_ub
             viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
             if viol[r] <= _FEAS_TOL:
                 return LPStatus.OPTIMAL, iteration
             to_lower = below[r] >= above[r]
 
-            alpha = self.at @ self.factors.btran(_unit(self.m, r))
+            alpha = self.priced_at @ self.factors.btran_row(r)
 
             entering = self._dual_ratio_test(reduced, alpha, to_lower)
             if entering is None:
@@ -787,22 +845,23 @@ class _BoundedSimplex:
         # Leaving variable sits below its lower bound (to_lower): its row
         # value must increase, so entering-at-lower needs alpha < 0 and
         # entering-at-upper needs alpha > 0; mirrored when above the upper.
-        signed = self.direction * alpha
+        k = self.priced
+        signed = self.direction[:k] * alpha
         if to_lower:
             candidates = signed < -_PIVOT_TOL
         else:
             candidates = signed > _PIVOT_TOL
         free = self.free
         if free is not None:
-            candidates |= free & (np.abs(alpha) > _PIVOT_TOL)
-        if not np.any(candidates):
+            candidates |= free[:k] & (np.abs(alpha) > _PIVOT_TOL)
+        idx = candidates.nonzero()[0]
+        if not idx.size:
             return None
-        idx = np.flatnonzero(candidates)
-        ratios = np.abs(reduced[idx]) / np.abs(alpha[idx])
-        best = ratios.min()
-        ties = idx[ratios <= best + _TOL]
+        pivots = np.abs(alpha[idx])
+        ratios = np.abs(reduced[idx]) / pivots
+        ties = ratios <= ratios.min() + _TOL
         # Prefer the largest pivot among the tied ratios for stability.
-        return int(ties[np.argmax(np.abs(alpha[ties]))])
+        return int(idx[ties][pivots[ties].argmax()])
 
     # -- pivot bookkeeping ---------------------------------------------------
 
@@ -843,9 +902,3 @@ class _BoundedSimplex:
         if self.free is not None:
             self.free[entering] = False
             self.free[leaving] = free
-
-
-def _unit(size: int, index: int) -> np.ndarray:
-    vec = np.zeros(size)
-    vec[index] = 1.0
-    return vec

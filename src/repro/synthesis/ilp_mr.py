@@ -5,7 +5,10 @@ The lazy loop: solve the ILP for interconnection constraints only, run the
 requirement is missed, learn interconnection constraints (Algorithm 2 /
 :mod:`repro.synthesis.learncons`) that force redundancy, then re-solve.
 Reliability analysis runs only a handful of times, on concrete graphs —
-never symbolically over the whole configuration space.
+never symbolically over the whole configuration space. When LEARNCONS
+can add no row, the loop stops ``infeasible`` only if the architecture
+with every allowed edge misses the requirement too; otherwise it asks
+for one allowed edge the candidate lacks.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import time
 from typing import Optional
 
 from .. import obs
-from ..ilp import BnBOptions, WarmStartContext
+from ..arch import Architecture
+from ..ilp import BnBOptions, WarmStartContext, lin_sum
 from ..reliability import worst_case_failure
 from .learncons import learn_constraints
 from .result import IterationRecord, SynthesisResult
@@ -119,6 +123,7 @@ def _synthesize_ilp_mr(
             setup_time=setup_time,
         )
 
+        r_all_edges: Optional[float] = None
         for iteration in range(1, max_iterations + 1):
             with obs.span("ilp_mr.iteration", index=iteration) as it_span:
                 with obs.span("ilp_mr.solve"):
@@ -196,11 +201,30 @@ def _synthesize_ilp_mr(
                 )
                 it_span.set_attr("estimated_k", outcome.estimated_k)
                 if outcome.saturated:
-                    result.status = "infeasible"
-                    result.model_stats = enc.model.stats()
-                    run_span.set_attr("iterations", iteration)
-                    run_span.set_attr("status", "infeasible")
-                    return result
+                    # ADDPATH counts components, so once all are connected
+                    # it asks for nothing, though an edge may add a path.
+                    # Failure never rises when an edge is added: if every
+                    # allowed edge misses r*, so does every architecture;
+                    # else so does every subset of this candidate's edges.
+                    if r_all_edges is None:
+                        template = spec.template
+                        r_all_edges, _ = worst_case_failure(
+                            Architecture(template, template.allowed_edges),
+                            spec.sinks(), method=rel_method,
+                        )
+                    if r_all_edges > r_star:
+                        result.status = "infeasible"
+                        result.model_stats = enc.model.stats()
+                        run_span.set_attr("iterations", iteration)
+                        run_span.set_attr("status", "infeasible")
+                        return result
+                    missing = (
+                        v for e, v in enc.edge.items() if e not in arch.edges
+                    )
+                    enc.model.add_constr(lin_sum(missing) >= 1,
+                                         tag="learned.edge")
+                    record.learned_constraints = 1
+                    it_span.set_attr("learned_constraints", 1)
 
         result.model_stats = enc.model.stats()
         run_span.set_attr("iterations", max_iterations)

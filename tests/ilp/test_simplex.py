@@ -13,9 +13,12 @@ from scipy.optimize import linprog
 
 from repro.bench import _make_cover
 from repro.eps import build_eps_template, eps_spec
-from repro.ilp import BnBOptions, LPStatus, solve_lp, solve_milp
+from repro.ilp import (
+    BnBOptions, LPStatus, branch_and_bound, simplex, solve_lp, solve_milp,
+)
 from repro.ilp.simplex import (
-    _AT_LOWER, _AT_UPPER, _BASIC, _PIVOT_TOL, _TOL, _BoundedSimplex,
+    _AT_LOWER, _AT_UPPER, _BASIC, _PIVOT_TOL, _TOL, EqualityForm,
+    _BoundedSimplex, _SingularBasis,
 )
 
 INF = math.inf
@@ -251,10 +254,13 @@ class TestNumericalFailures:
 #
 # The reference formulas below rebuild the per-column masks from the status
 # flags and bounds on every call, as the simplex did before it kept them.
+# Choices are checked over the priced columns, the first ``s.priced``.
 
 
-def _reference_masks(s):
-    flags, lb, ub = s.status_flags, s.lb, s.ub
+def _reference_masks(s, width=None):
+    """The masks over the first ``width`` columns (all by default)."""
+    width = s.n_total if width is None else width
+    flags, lb, ub = s.status_flags[:width], s.lb[:width], s.ub[:width]
     movable = (flags != _BASIC) & (lb != ub)
     free = movable & ~np.isfinite(lb) & ~np.isfinite(ub)
     low = movable & (flags == _AT_LOWER) & ~free
@@ -263,8 +269,8 @@ def _reference_masks(s):
 
 
 def _reference_price(s, reduced, use_bland):
-    _, free, low, up = _reference_masks(s)
-    score = np.zeros(s.n_total)
+    _, free, low, up = _reference_masks(s, s.priced)
+    score = np.zeros(s.priced)
     if np.any(free):
         score[free] = np.abs(reduced[free])
     score[low] = -reduced[low]
@@ -278,15 +284,15 @@ def _reference_price(s, reduced, use_bland):
 
 
 def _reference_dual_feasible(s, reduced, tol):
-    _, free, low, up = _reference_masks(s)
+    _, free, low, up = _reference_masks(s, s.priced)
     return not (np.any(np.abs(reduced[free]) > tol)
                 or np.any(reduced[low] < -tol)
                 or np.any(reduced[up] > tol))
 
 
 def _reference_dual_ratio_test(s, reduced, alpha, to_lower):
-    movable, free, _, _ = _reference_masks(s)
-    flags = s.status_flags
+    movable, free, _, _ = _reference_masks(s, s.priced)
+    flags = s.status_flags[:s.priced]
     if to_lower:
         ok_low = movable & (flags == _AT_LOWER) & (alpha < -_PIVOT_TOL)
         ok_up = movable & (flags == _AT_UPPER) & (alpha > _PIVOT_TOL)
@@ -317,6 +323,17 @@ def _assert_kept_state_is_current(s, seen):
         assert np.array_equal(s.free, free)
     assert np.array_equal(s.basic_lb, s.lb[s.basis])
     assert np.array_equal(s.basic_ub, s.ub[s.basis])
+    if s.priced < s.n_total:
+        # Pricing skips only the artificials, pinned at zero: they read
+        # direction 0 and are never free, so they could never enter.
+        pinned = slice(s.n_structural, None)
+        assert s.priced == s.n_structural
+        assert not s.lb[pinned].any() and not s.ub[pinned].any()
+        assert not s.direction[pinned].any()
+        assert s.free is None or not s.free[pinned].any()
+        seen["narrowed"] += 1
+    else:
+        assert s.priced == s.n_total
     seen["checks"] += 1
     seen["free"] += int(free.any())
     seen["at_upper"] += int(up.any())
@@ -336,18 +353,21 @@ def _kept_state_check():
 
     def price(self, reduced, use_bland):
         _assert_kept_state_is_current(self, seen)
+        assert len(reduced) == self.priced
         choice = real_price(self, reduced, use_bland)
         assert choice == _reference_price(self, reduced, use_bland)
         return choice
 
     def dual_feasible(self, reduced, tol=1e-7):
         _assert_kept_state_is_current(self, seen)
+        assert len(reduced) == self.priced
         verdict = real_dual_feasible(self, reduced, tol)
         assert verdict == _reference_dual_feasible(self, reduced, tol)
         return verdict
 
     def dual_ratio_test(self, reduced, alpha, to_lower):
         _assert_kept_state_is_current(self, seen)
+        assert len(reduced) == len(alpha) == self.priced
         choice = real_dual_ratio_test(self, reduced, alpha, to_lower)
         assert choice == _reference_dual_ratio_test(
             self, reduced, alpha, to_lower)
@@ -430,6 +450,7 @@ class TestKeptPricingState:
             out = solve_milp(form, BnBOptions())
         assert out.status == "optimal"
         assert seen["checks"] > 0
+        assert seen["narrowed"] > 0
 
     def test_cover_bnb_search(self):
         form = _make_cover(40, 60, seed=40).to_matrix_form()
@@ -437,6 +458,7 @@ class TestKeptPricingState:
             out = solve_milp(form, BnBOptions())
         assert out.status == "optimal"
         assert seen["checks"] > 0
+        assert seen["narrowed"] > 0
 
     def test_mixed_lps_cold_then_warm(self):
         @given(mixed_lp())
@@ -455,3 +477,102 @@ class TestKeptPricingState:
             cold_then_warm()
         for case in ("free", "bound_flip", "at_upper", "eviction"):
             assert seen[case] > 0, (case, seen)
+
+
+# -- the basis factors an equality form keeps for the next install -----------
+
+
+def _eps_genilp():
+    spec = eps_spec(build_eps_template(num_generators=2),
+                    reliability_target=6.5e-4)
+    return spec.build_encoder().model.to_matrix_form()
+
+
+def _cover():
+    return _make_cover(40, 60, seed=40).to_matrix_form()
+
+
+class TestKeptFactors:
+    """Reusing kept factors changes no node LP and saves ``splu`` calls."""
+
+    @staticmethod
+    def _node_lps(monkeypatch, form):
+        """Every node LP's status, iterations, dual pivots, warm flag,
+        ``x`` bytes and basis over one search, and the ``splu`` calls."""
+        real_lp, real_splu = branch_and_bound.solve_lp, simplex.splu
+        stream, factorizations = [], []
+
+        def solve_lp(*args, **kwargs):
+            res = real_lp(*args, **kwargs)
+            stream.append((
+                res.status, res.iterations, res.dual_pivots,
+                res.warm_started, None if res.x is None else res.x.tobytes(),
+                None if res.basis is None else (
+                    res.basis.var_status.tobytes(),
+                    res.basis.row_status.tobytes()),
+            ))
+            return res
+
+        def splu(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(branch_and_bound, "solve_lp", solve_lp)
+            patch.setattr(simplex, "splu", splu)
+            out = solve_milp(form, BnBOptions())
+        assert out.status == "optimal"
+        return stream, len(factorizations)
+
+    @pytest.mark.parametrize("build", [_eps_genilp, _cover])
+    def test_same_node_lps_with_fewer_factorizations(self, monkeypatch,
+                                                     build):
+        kept, kept_splu = self._node_lps(monkeypatch, build())
+        monkeypatch.setattr(simplex, "_FACTOR_CACHE_SIZE", 0)
+        fresh, fresh_splu = self._node_lps(monkeypatch, build())
+        assert len(kept) > 1
+        assert kept == fresh
+        assert kept_splu < fresh_splu
+
+    def test_bounded_and_first_in_first_out(self, monkeypatch):
+        sizes = []
+        real = EqualityForm.factorize
+
+        def factorize(form, basis):
+            try:
+                return real(form, basis)
+            finally:
+                sizes.append(len(form._kept))
+
+        monkeypatch.setattr(EqualityForm, "factorize", factorize)
+        solve_milp(_cover(), BnBOptions())
+        assert max(sizes) == simplex._FACTOR_CACHE_SIZE
+        monkeypatch.undo()
+
+        # Columns x0 x1 x2 | s0 s1 s2: each basis below is nonsingular.
+        form = EqualityForm(np.eye(3), ["<=", "<=", "<="])
+        bases = [np.array(b) for b in ([0, 1, 2], [0, 1, 5], [0, 4, 5],
+                                       [3, 4, 5])]
+        for i, basis in enumerate(bases):
+            factors, factored = form.factorize(basis)
+            assert factored and factors.etas == []
+            kept = list(form._kept)
+            assert kept == [b.tobytes() for b in bases][
+                max(0, i + 1 - simplex._FACTOR_CACHE_SIZE): i + 1]
+        # A kept basis is not factored again, and starts a fresh eta file
+        # on the same LU factors.
+        factors.update(factors.ftran(np.array([1.0, 1.0, 1.0])), 0)
+        again, factored = form.factorize(bases[-1])
+        assert not factored
+        assert again.etas == [] and again._lu is factors._lu
+
+    def test_singular_basis_is_not_kept(self):
+        form = EqualityForm(np.array([[1.0, 1.0], [1.0, 1.0]]), ["<=", "<="])
+        with pytest.raises(_SingularBasis):
+            form.factorize(np.array([0, 1]))
+        assert form._kept == {}
+        form.factorize(np.array([0, 2]))
+        assert list(form._kept) == [np.array([0, 2]).tobytes()]
+        with pytest.raises(_SingularBasis):
+            form.factorize(np.array([0, 1]))
+        assert list(form._kept) == [np.array([0, 2]).tobytes()]

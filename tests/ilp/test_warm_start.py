@@ -180,7 +180,8 @@ def _fresh_reduced_cost_check():
     def dual_ratio_test(self, reduced, alpha, to_lower):
         c = costs[-1]
         fresh = self._reduced_costs(c)
-        movable = (self.status_flags != _BASIC) & (self.lb != self.ub)
+        k = self.priced
+        movable = (self.status_flags[:k] != _BASIC) & (self.lb[:k] != self.ub[:k])
         drift = np.abs(reduced[movable] - fresh[movable]).max(initial=0.0)
         drifts.append(drift / max(1.0, np.abs(c).max()))
         assert drifts[-1] <= 1e-9

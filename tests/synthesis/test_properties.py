@@ -10,7 +10,7 @@ translate into machine-checkable properties:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import Architecture, ArchitectureTemplate, ComponentSpec, Library, Role
@@ -24,13 +24,9 @@ from repro.synthesis import (
 )
 
 
-@st.composite
-def random_spec(draw):
-    """Random small layered gen->bus->load synthesis problems."""
-    n_gen = draw(st.integers(1, 3))
-    n_bus = draw(st.integers(1, 3))
-    p = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
-    lib = Library(switch_cost=draw(st.sampled_from([0.0, 1.0, 10.0])))
+def _layered_spec(n_gen, n_bus, p, switch_cost, edges, r_star):
+    """A gen->bus->load spec over the allowed ``edges`` (name pairs)."""
+    lib = Library(switch_cost=switch_cost)
     for i in range(n_gen):
         lib.add(ComponentSpec(f"G{i}", "gen", cost=10, capacity=100,
                               failure_prob=p, role=Role.SOURCE))
@@ -40,18 +36,9 @@ def random_spec(draw):
     lib.set_type_order(["gen", "bus", "load"])
     names = [f"G{i}" for i in range(n_gen)] + [f"B{i}" for i in range(n_bus)] + ["L0"]
     t = ArchitectureTemplate(lib, names)
-    # random allowed edges, at least one full chain guaranteed
-    t.allow_edge("G0", "B0")
-    t.allow_edge("B0", "L0")
-    for i in range(n_gen):
-        for j in range(n_bus):
-            if (i, j) != (0, 0) and draw(st.booleans()):
-                t.allow_edge(f"G{i}", f"B{j}")
-    for j in range(1, n_bus):
-        if draw(st.booleans()):
-            t.allow_edge(f"B{j}", "L0")
-    r_star = draw(st.sampled_from([0.5, 1e-2, 1e-4, 1e-7, 1e-12]))
-    spec = SynthesisSpec(
+    for src, dst in edges:
+        t.allow_edge(src, dst)
+    return SynthesisSpec(
         template=t,
         requirements=[
             RequireIncomingEdge(nodes=["L0"], k=1),
@@ -61,10 +48,39 @@ def random_spec(draw):
         ],
         reliability_target=r_star,
     )
-    return spec
+
+
+@st.composite
+def random_spec(draw):
+    """Random small layered gen->bus->load synthesis problems."""
+    n_gen = draw(st.integers(1, 3))
+    n_bus = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    switch_cost = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    # random allowed edges, at least one full chain guaranteed
+    edges = [("G0", "B0"), ("B0", "L0")]
+    for i in range(n_gen):
+        for j in range(n_bus):
+            if (i, j) != (0, 0) and draw(st.booleans()):
+                edges.append((f"G{i}", f"B{j}"))
+    for j in range(1, n_bus):
+        if draw(st.booleans()):
+            edges.append((f"B{j}", "L0"))
+    r_star = draw(st.sampled_from([0.5, 1e-2, 1e-4, 1e-7, 1e-12]))
+    return _layered_spec(n_gen, n_bus, p, switch_cost, edges, r_star)
+
+
+def _saturated_spec(r_star=1e-4):
+    """A spec where LEARNCONS saturates before r* is met: at iteration 4
+    the candidate uses all six components (cost 45, r = 1.02e-4) and no
+    component count can rise, but adding G2-B0 meets r* = 1e-4."""
+    edges = [("G0", "B0"), ("B0", "L0"), ("G0", "B1"), ("G1", "B2"),
+             ("G2", "B0"), ("G2", "B2"), ("B1", "L0"), ("B2", "L0")]
+    return _layered_spec(3, 3, 1e-2, 0.0, edges, r_star)
 
 
 @given(random_spec())
+@example(_saturated_spec())
 @settings(max_examples=25, deadline=None)
 def test_ilp_mr_sound_and_complete(spec):
     result = synthesize_ilp_mr(spec, backend="scipy")
@@ -81,6 +97,24 @@ def test_ilp_mr_sound_and_complete(spec):
     else:
         # Completeness (Theorem 1): even the maximal architecture fails.
         assert r_max > spec.reliability_target
+
+
+@pytest.mark.parametrize("backend", ["scipy", "bnb"])
+def test_ilp_mr_asks_for_an_edge_when_learncons_saturates(backend):
+    result = synthesize_ilp_mr(_saturated_spec(), backend=backend)
+    assert result.status == "optimal"
+    assert result.cost == 45.0
+    assert len(result.iterations) == 5
+    # Iteration 4 used every component; its one learned row is the cut.
+    assert [it.learned_constraints for it in result.iterations][3:] == [1, 0]
+
+
+@pytest.mark.parametrize("backend", ["scipy", "bnb"])
+def test_ilp_mr_saturated_and_unreachable_is_infeasible(backend):
+    # Every allowed edge together reads r = 3.98e-6.
+    result = synthesize_ilp_mr(_saturated_spec(r_star=1e-7), backend=backend)
+    assert result.status == "infeasible"
+    assert result.iterations[-1].learned_constraints == 0
 
 
 @given(random_spec())

@@ -1,6 +1,7 @@
 """Benchmark harness: schema validation, document generation, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,7 @@ def make_doc(warm=0.1, cold=1.0, profile="unit"):
             "kind": "ilp_mr",
             "instance": "eps-g2",
             "backend": "bnb",
+            "reliability_target": 1e-3,
             "speedup": cold / warm,
             "costs_identical": True,
             "warm": {"wall_seconds": warm},
@@ -164,7 +166,7 @@ class TestHistoryLedger:
         entry = append_history(make_doc(), path)
         assert entry["schema"] == HISTORY_SCHEMA
         assert entry["profile"] == "unit"
-        assert entry["metrics"]["ilp_mr/eps-g2/bnb/warm_wall_seconds"] == 0.1
+        assert entry["metrics"]["ilp_mr/eps-g2@0.001/bnb/warm_wall_seconds"] == 0.1
         append_history(make_doc(warm=0.2), path)
         assert len(read_history(path)) == 2
 
@@ -181,11 +183,21 @@ class TestHistoryLedger:
     def test_missing_history_file_reads_empty(self, tmp_path):
         assert read_history(tmp_path / "absent.jsonl") == []
 
+    def test_ilp_mr_keys_keep_each_target_apart(self):
+        doc = json.loads((Path(__file__).parents[1] / "BENCH_ilp.json")
+                         .read_text())
+        targets = {r["reliability_target"] for r in doc["rows"]
+                   if r["kind"] == "ilp_mr" and r["instance"] == "eps-g2"}
+        assert len(targets) == 2
+        keys = [k for k in history_entry(doc)["metrics"]
+                if k.startswith("ilp_mr/eps-g2@") and "/bnb/" in k]
+        assert len(keys) == len(set(keys)) == 6
+
     def test_history_entry_drops_nan_metrics(self):
         doc = make_doc()
         doc["rows"][0]["speedup"] = float("nan")
         entry = history_entry(doc)
-        assert "ilp_mr/eps-g2/bnb/speedup" not in entry["metrics"]
+        assert "ilp_mr/eps-g2@0.001/bnb/speedup" not in entry["metrics"]
 
 
 class TestCompareHistory:
@@ -207,17 +219,17 @@ class TestCompareHistory:
     def test_slowdown_beyond_threshold_regresses(self):
         history = self.history_of(make_doc(), make_doc(), make_doc())
         verdicts = self.by_metric(compare_history(make_doc(warm=0.5), history))
-        warm = verdicts["ilp_mr/eps-g2/bnb/warm_wall_seconds"]
+        warm = verdicts["ilp_mr/eps-g2@0.001/bnb/warm_wall_seconds"]
         assert warm["status"] == "regression"
         assert warm["ratio"] == pytest.approx(5.0)
         # The warm arm got slower, so the speedup collapsed too.
-        assert verdicts["ilp_mr/eps-g2/bnb/speedup"]["status"] == "regression"
+        assert verdicts["ilp_mr/eps-g2@0.001/bnb/speedup"]["status"] == "regression"
 
     def test_speedup_direction_is_higher_better(self):
         history = self.history_of(make_doc(), make_doc())
         verdicts = self.by_metric(compare_history(make_doc(warm=0.01), history))
-        assert verdicts["ilp_mr/eps-g2/bnb/speedup"]["status"] == "improved"
-        assert verdicts["ilp_mr/eps-g2/bnb/warm_wall_seconds"]["status"] == (
+        assert verdicts["ilp_mr/eps-g2@0.001/bnb/speedup"]["status"] == "improved"
+        assert verdicts["ilp_mr/eps-g2@0.001/bnb/warm_wall_seconds"]["status"] == (
             "improved"
         )
 
@@ -229,7 +241,7 @@ class TestCompareHistory:
             make_doc(cold=1.8), make_doc(cold=1.0),
         )
         verdicts = self.by_metric(compare_history(make_doc(cold=1.6), history))
-        assert verdicts["ilp_mr/eps-g2/bnb/cold_wall_seconds"]["status"] == "ok"
+        assert verdicts["ilp_mr/eps-g2@0.001/bnb/cold_wall_seconds"]["status"] == "ok"
 
     def test_min_seconds_floor_ignores_microbenchmark_jitter(self):
         history = self.history_of(
@@ -239,7 +251,7 @@ class TestCompareHistory:
             compare_history(make_doc(warm=0.004, cold=1.0), history)
         )
         # 2x slower but only +2ms: below the absolute floor, not a finding.
-        assert verdicts["ilp_mr/eps-g2/bnb/warm_wall_seconds"]["status"] != (
+        assert verdicts["ilp_mr/eps-g2@0.001/bnb/warm_wall_seconds"]["status"] != (
             "regression"
         )
 
@@ -336,12 +348,14 @@ class TestWarmLpRow:
         from repro import bench
 
         calls = {"first": 0, "cold": 0, "warm": 0}
+        forms = []
         real = bench.solve_lp
 
         def counting(*args, warm_basis=None, want_basis=False, **kwargs):
             arm = ("warm" if warm_basis is not None
                    else "first" if want_basis else "cold")
             calls[arm] += 1
+            forms.append(args[1])
             return real(*args, warm_basis=warm_basis, want_basis=want_basis,
                         **kwargs)
 
@@ -350,5 +364,7 @@ class TestWarmLpRow:
         assert bench._WARM_LP_REPEATS > 1
         assert calls == {"first": 1, "cold": bench._WARM_LP_REPEATS,
                          "warm": bench._WARM_LP_REPEATS}
+        # No solve reuses the basis factors an earlier one kept in its form.
+        assert len({id(f) for f in forms}) == len(forms)
         assert bench._ROW_REQUIRED["warm_lp"] <= set(row)
         assert row["warm_started"] and row["objectives_agree"]

@@ -445,3 +445,30 @@ class TestObsCli:
         assert rows == [[{"jobs": 2}], [{"jobs": 2}]]
         # Neither form falls back to the default warehouse path.
         assert not (tmp_path / ".archex").exists()
+
+    @pytest.mark.parametrize("sql", [
+        "SELEC 1",
+        "SELECT * FROM nosuch",
+        "UPDATE records SET event = 'x'",
+        "WITH t AS (SELECT 1) DELETE FROM records",
+    ])
+    def test_bad_query_exits_1_with_one_line(self, tmp_path, sql, capsys):
+        from repro.obs.warehouse import TelemetryWarehouse
+
+        db = tmp_path / "wh.db"
+        (tmp_path / "tel.jsonl").write_text(json.dumps(
+            {"ts": 1.0, "batch": "b-1", "event": "job_end", "job": "j0",
+             "ok": True, "attempts": 1, "wall_time": 0.5}) + "\n")
+        assert main(["obs", "ingest", "--warehouse", str(db),
+                     str(tmp_path / "tel.jsonl")]) == 0
+        with TelemetryWarehouse(db) as wh:
+            before = wh.counts()
+        capsys.readouterr()
+        assert main(["obs", "query", "--warehouse", str(db), sql]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+        with TelemetryWarehouse(db) as wh:
+            assert wh.counts() == before
